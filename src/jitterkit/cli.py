@@ -50,11 +50,11 @@ from .oracle import (
 )
 from .regression import (
     FunctionalQuery,
-    _kde_response_slice,
     classify,
     cond_cdf,
     cond_mean,
     cond_quantile,
+    response_slice,
 )
 
 EXIT_OK = 0
@@ -506,7 +506,7 @@ def _bench_cell(model, spec_base, kernel_name, jitters, n, seed_idx, master_seed
     pmf = model.margin
     out = {}
     if "kde_atom_mae" in functionals:
-        sl = _kde_response_slice(kde, 0, {})
+        sl = response_slice(kde, 0, {})
         errs = [abs(sl.density(float(z)) - pmf.mass(z)) for z in pmf.support]
         out["kde_atom_mae"] = float(np.mean(errs))
     if "mean_abs_err" in functionals:

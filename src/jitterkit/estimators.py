@@ -15,6 +15,7 @@ import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.special
 
 from .data import (
     ColumnSchema,
@@ -58,6 +59,23 @@ class Kernel:
             return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
         # epanechnikov, compact support [-1, 1]
         return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+    def cdf(self, u: np.ndarray) -> np.ndarray:
+        """Antiderivative ``int_{-inf}^u K(t) dt``."""
+        u = np.asarray(u, dtype=float)
+        if self.name == "gaussian":
+            return scipy.special.ndtr(u)
+        u = np.clip(u, -1.0, 1.0)
+        return 0.5 + 0.75 * (u - u * u * u / 3.0)
+
+    def partial_moment(self, u: np.ndarray) -> np.ndarray:
+        """Antiderivative ``int_{-inf}^u t K(t) dt``; it vanishes at both
+        ends of the support, since the kernel is symmetric."""
+        u = np.asarray(u, dtype=float)
+        if self.name == "gaussian":
+            return -self.profile(u)
+        u2 = np.clip(u, -1.0, 1.0) ** 2
+        return 0.75 * (0.5 * u2 - 0.25 * u2 * u2) - 3.0 / 16.0
 
 
 GAUSSIAN = Kernel("gaussian")

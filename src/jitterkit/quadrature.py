@@ -3,7 +3,9 @@
 Thin wrapper around Gauss-Kronrod adaptive integration that accepts
 explicit breakpoints (kink locations), since the densities handled here
 are only piecewise smooth and naive adaptivity converges slowly across
-kinks.
+kinks. It serves the analytic oracle's response slices and
+:func:`~jitterkit.noise.verify_membership`; KDE functionals integrate the
+kernel in closed form and never reach it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,11 @@ point) and integrates it:
 The density source is either a fitted :class:`~jitterkit.estimators.KdeModel`
 or any object exposing ``response_slice`` (the analytic jittered densities
 in :mod:`jitterkit.oracle` do, which is how the identities are verified
-against exact ground truth).
+against exact ground truth). Along the response axis a KDE is a weighted
+sum of shifted kernels, so its integrals are exact sums of the kernel's
+antiderivatives (:meth:`~jitterkit.estimators.Kernel.cdf` and
+:meth:`~jitterkit.estimators.Kernel.partial_moment`); only slices without
+a closed form, such as the oracle's, fall back to adaptive quadrature.
 
 Covariates are addressed by column index. Columns absent from
 ``covariate_point`` are marginalized out; for product kernels this is
@@ -108,6 +112,11 @@ class ResponseSlice:
     region holding all of its mass, ``breakpoints`` list the kink
     locations for quadrature, and ``response_min``/``response_max`` span
     the observed (or supported) response values.
+
+    ``integral(a, b)`` and ``first_moment(a, b)`` return ``int_a^b f`` and
+    ``int_a^b s f(s) ds``. A slice that knows them in closed form passes
+    them in; otherwise they default to adaptive quadrature of ``density``
+    over ``breakpoints``.
     """
 
     density: Callable[[float], float]
@@ -116,11 +125,24 @@ class ResponseSlice:
     breakpoints: tuple[float, ...] = ()
     response_min: float = field(default=math.nan)
     response_max: float = field(default=math.nan)
+    integral: Callable[[float, float], float] | None = None
+    first_moment: Callable[[float, float], float] | None = None
+
+    def __post_init__(self):
+        if self.integral is None:
+            object.__setattr__(self, "integral", lambda a, b: adaptive_integral(
+                self.density, a, b, tol=_INTEGRAL_TOL, breakpoints=self.breakpoints))
+        if self.first_moment is None:
+            object.__setattr__(self, "first_moment", lambda a, b: adaptive_integral(
+                lambda s: s * self.density(s), a, b,
+                tol=_INTEGRAL_TOL, breakpoints=self.breakpoints))
 
 
 def _kde_response_slice(
     model: KdeModel, response_index: int, covariate_point: Mapping[int, float]
 ) -> ResponseSlice:
+    """Slice of a KDE: along the response axis it is a weighted sum of
+    shifted kernels, so its integrals are sums of kernel antiderivatives."""
     d = len(model.schema)
     if not 0 <= response_index < d:
         raise SchemaError(f"response_index {response_index} out of range for {d} columns")
@@ -132,62 +154,69 @@ def _kde_response_slice(
     h_resp = float(h[response_index])
     cov_idx = sorted(covariate_point)
     cov_vals = np.array([float(covariate_point[j]) for j in cov_idx])
-    cov_h = h[cov_idx] if cov_idx else np.empty(0)
+    cov_h = h[cov_idx]
     kernel = model.kernel
-    norm = model.replicates[0].n * h_resp * float(np.prod(cov_h)) if cov_idx else (
-        model.replicates[0].n * h_resp
-    )
-
-    parts = []
-    for rep in model.replicates:
-        if cov_idx:
-            w = kernel.profile((rep.rows[:, cov_idx] - cov_vals) / cov_h).prod(axis=1)
-        else:
-            w = np.ones(rep.n)
-        parts.append((w, rep.rows[:, response_index]))
-    n_reps = len(parts)
+    reps = model.replicates
+    # the replicates' response values and covariate weights, stacked over all R * n rows
+    resp = np.concatenate([rep.rows[:, response_index] for rep in reps])
+    if cov_idx:
+        cov = np.concatenate([rep.rows[:, cov_idx] for rep in reps])
+        w = kernel.profile((cov - cov_vals) / cov_h).prod(axis=1)
+    else:
+        w = np.ones(len(resp))
+    norm = len(resp) * h_resp * float(np.prod(cov_h))
 
     def density(s: float) -> float:
-        total = 0.0
-        for w, resp in parts:
-            total += float((w * kernel.profile((resp - s) / h_resp)).sum())
-        return total / (norm * n_reps)
+        return float((w * kernel.profile((resp - s) / h_resp)).sum()) / norm
+
+    def increments(a: float, b: float, antiderivative) -> np.ndarray:
+        return antiderivative((b - resp) / h_resp) - antiderivative((a - resp) / h_resp)
+
+    # int_a^b K((s - r) / h) ds = h [C(ub) - C(ua)]; with s = r + h t the
+    # first moment adds h^2 [M(ub) - M(ua)] to r times that mass
+    def integral(a: float, b: float) -> float:
+        return float((w * increments(a, b, kernel.cdf)).sum()) * h_resp / norm
+
+    def first_moment(a: float, b: float) -> float:
+        centres = resp * increments(a, b, kernel.cdf)
+        spreads = h_resp * increments(a, b, kernel.partial_moment)
+        return float((w * (centres + spreads)).sum()) * h_resp / norm
 
     observed = model.origin.rows[:, response_index]
     r_min = float(observed.min())
     r_max = float(observed.max())
     pad = _WINDOW_BANDWIDTHS * float(h.max()) + 1.0
-    lower, upper = r_min - pad, r_max + pad
-    g1, g2 = model.noise.gamma1, model.noise.gamma2
-    breaks = []
-    for k in range(math.floor(lower), math.ceil(upper) + 1):
-        breaks.extend((k - g2, k - g1, k + g1, k + g2))
     return ResponseSlice(
         density=density,
-        lower=lower,
-        upper=upper,
-        breakpoints=tuple(breaks),
+        lower=r_min - pad,
+        upper=r_max + pad,
         response_min=r_min,
         response_max=r_max,
+        integral=integral,
+        first_moment=first_moment,
     )
 
 
-def _response_slice(model, query: FunctionalQuery) -> ResponseSlice:
+def response_slice(
+    model, response_index: int, covariate_point: Mapping[int, float]
+) -> ResponseSlice:
+    """Profile of ``model``'s joint density along column ``response_index``
+    with the covariates in ``covariate_point`` held fixed.
+
+    ``model`` is a fitted :class:`~jitterkit.estimators.KdeModel` or any
+    object with a ``response_slice`` method of the same signature.
+    """
     if isinstance(model, KdeModel):
-        return _kde_response_slice(model, query.response_index, query.covariate_point)
+        return _kde_response_slice(model, response_index, covariate_point)
     if hasattr(model, "response_slice"):
-        return model.response_slice(query.response_index, query.covariate_point)
+        return model.response_slice(response_index, covariate_point)
     raise InvalidParameterError(
         f"cannot take conditional functionals of {type(model).__name__}"
     )
 
 
-def _integral(sl: ResponseSlice, a: float, b: float) -> float:
-    return adaptive_integral(sl.density, a, b, tol=_INTEGRAL_TOL, breakpoints=sl.breakpoints)
-
-
 def _denominator(sl: ResponseSlice, query: FunctionalQuery) -> float:
-    denom = _integral(sl, sl.lower, sl.upper)
+    denom = sl.integral(sl.lower, sl.upper)
     if not denom > _MIN_DENOMINATOR:
         raise NoLocalDataError(
             f"conditioning mass {denom} at covariate point "
@@ -200,12 +229,9 @@ def cond_mean(model, query: FunctionalQuery) -> ConditionalEstimate:
     """Conditional mean of the response at the query's covariate point."""
     if query.kind != "mean":
         raise InvalidParameterError(f"cond_mean got a {query.kind!r} query")
-    sl = _response_slice(model, query)
+    sl = response_slice(model, query.response_index, query.covariate_point)
     denom = _denominator(sl, query)
-    num = adaptive_integral(
-        lambda s: s * sl.density(s), sl.lower, sl.upper,
-        tol=_INTEGRAL_TOL, breakpoints=sl.breakpoints,
-    )
+    num = sl.first_moment(sl.lower, sl.upper)
     return ConditionalEstimate(value=num / denom, denominator_mass=denom, query=query)
 
 
@@ -213,7 +239,7 @@ def _corrected_cdf(
     sl: ResponseSlice, denom: float, t: float, discrete: bool, cum: float | None = None
 ) -> float:
     if cum is None:
-        cum = 0.0 if t <= sl.lower else _integral(sl, sl.lower, min(t, sl.upper))
+        cum = 0.0 if t <= sl.lower else sl.integral(sl.lower, min(t, sl.upper))
     value = cum / denom
     if discrete:
         value += sl.density(t) / (2.0 * denom)
@@ -230,7 +256,7 @@ def cond_cdf(model, query: FunctionalQuery) -> ConditionalEstimate:
     """
     if query.kind != "cdf":
         raise InvalidParameterError(f"cond_cdf got a {query.kind!r} query")
-    sl = _response_slice(model, query)
+    sl = response_slice(model, query.response_index, query.covariate_point)
     denom = _denominator(sl, query)
     value = _corrected_cdf(sl, denom, float(query.threshold), query.response_kind == "discrete")
     return ConditionalEstimate(value=value, denominator_mass=denom, query=query)
@@ -245,7 +271,7 @@ def _discrete_quantile(sl: ResponseSlice, denom: float, alpha: float) -> float:
     for t in range(lo, hi + 1):
         seg_hi = min(float(t), sl.upper)
         if seg_hi > prev:
-            cum += _integral(sl, prev, seg_hi)
+            cum += sl.integral(prev, seg_hi)
             prev = seg_hi
         corrected = _corrected_cdf(sl, denom, float(t), discrete=True, cum=cum)
         attained = max(attained, corrected)
@@ -288,7 +314,7 @@ def cond_quantile(model, query: FunctionalQuery) -> ConditionalEstimate:
     """
     if query.kind != "quantile":
         raise InvalidParameterError(f"cond_quantile got a {query.kind!r} query")
-    sl = _response_slice(model, query)
+    sl = response_slice(model, query.response_index, query.covariate_point)
     denom = _denominator(sl, query)
     alpha = float(query.alpha)
     if query.response_kind == "discrete":

@@ -90,14 +90,23 @@ class TestFitEvalCommands:
         assert row[0] == "density"
         assert float(row[4]) > 0.0
 
-    def test_functionals_with_response(self, data_csv, tmp_path, capsys):
-        model = tmp_path / "m.bin"
-        main(["fit", "--input", str(data_csv), "--output", str(model), *SCHEMA_FLAGS])
+    def _eval_functionals(self, model, capsys):
         for extra in (["--functional", "mean"],
                       ["--functional", "cdf", "--threshold", "2"],
                       ["--functional", "quantile", "--alpha", "0.5"]):
             assert main(["eval", "--model", str(model), "--response", "z", *extra]) == 0
             capsys.readouterr()
+
+    def test_functionals_with_response(self, data_csv, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        main(["fit", "--input", str(data_csv), "--output", str(model), *SCHEMA_FLAGS])
+        self._eval_functionals(model, capsys)
+
+    def test_functionals_epanechnikov(self, data_csv, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(data_csv), "--output", str(model), *SCHEMA_FLAGS,
+                     "--kernel", "epanechnikov"]) == 0
+        self._eval_functionals(model, capsys)
 
     def test_eval_byte_identical(self, data_csv, tmp_path):
         model = tmp_path / "m.bin"

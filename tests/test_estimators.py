@@ -56,6 +56,17 @@ class TestKernelShape:
         assert_allclose(vals, kernel.profile(-u), atol=0)
         assert scipy.integrate.simpson(vals, x=u) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_antiderivatives(self, kernel_name):
+        kernel = get_kernel(kernel_name)
+        u = np.array([-9.0, -1.5, -1.0, -0.3, 0.0, 0.6, 1.0, 2.5])
+        mass = [scipy.integrate.quad(kernel.profile, -10.0, v, points=[-1, 1], limit=200)[0]
+                for v in u]
+        moment = [scipy.integrate.quad(lambda t: t * kernel.profile(t), -10.0, v,
+                                       points=[-1, 1], limit=200)[0] for v in u]
+        assert_allclose(kernel.cdf(u), mass, atol=1e-12)
+        assert_allclose(kernel.partial_moment(u), moment, atol=1e-12)
+
     def test_epanechnikov_compact_support(self):
         kernel = get_kernel("epanechnikov")
         assert kernel.profile(np.array([-1.001, 1.001])).tolist() == [0.0, 0.0]

@@ -1,9 +1,13 @@
 """Conditional functionals: identities against the analytic jittered density,
 then statistical checks on fitted KDE models."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from jitterkit import (
@@ -18,6 +22,7 @@ from jitterkit import (
     MixedDataset,
     NoLocalDataError,
     NoiseSpec,
+    ResponseSlice,
     Standardization,
     SyntheticMixedModel,
     classify,
@@ -27,10 +32,11 @@ from jitterkit import (
     dummy_code,
     fit_kde,
     get_kernel,
+    response_slice,
     true_conditional,
 )
 
-from conftest import discrete_dataset
+from conftest import discrete_dataset, mixed_dataset
 
 PMFS = {
     "bernoulli": DiscretePmf.bernoulli(0.3),
@@ -336,3 +342,169 @@ class TestClassify:
                             class_columns=(0,))
         with pytest.raises(SchemaError):
             classify(model, q)
+
+
+ZX_MODEL = SyntheticMixedModel(
+    margin=DiscretePmf.binomial(4, 0.3), continuous=GaussianConditional(mean_slope=0.7)
+)
+
+
+def _zx_kde(kernel_name, n, seed, spec=NoiseSpec(0.8, 5, dims=1)):
+    return fit_kde(mixed_dataset(ZX_MODEL, n, seed), spec, kernel=get_kernel(kernel_name),
+                   num_jitters=2, seed=seed + 1)
+
+
+class TestEpanechnikovFunctionals:
+    """The Epanechnikov kernel sum has kinks at every r_i +- h; its
+    functionals are closed-form kernel integrals and must all succeed."""
+
+    def test_every_functional_is_finite(self):
+        model = _zx_kde("epanechnikov", 2000, seed=60)
+        Q = FunctionalQuery
+        estimates = [
+            cond_mean(model, Q("mean", 0, "discrete", {1: 0.3})),
+            cond_mean(model, Q("mean", 1, "continuous", {0: 2.0})),
+            cond_cdf(model, Q("cdf", 0, "discrete", {1: 0.3}, threshold=1)),
+            cond_cdf(model, Q("cdf", 1, "continuous", threshold=0.5)),
+            cond_quantile(model, Q("quantile", 0, "discrete", {1: 0.3}, alpha=0.5)),
+            cond_quantile(model, Q("quantile", 1, "continuous", {0: 2.0}, alpha=0.5)),
+        ]
+        for est in estimates:
+            assert math.isfinite(est.value)
+            assert est.denominator_mass > 0.0
+        ds = _two_class_dataset(2000, seed=61)
+        model = fit_kde(ds, NoiseSpec(0.8, 5, dims=2), kernel=get_kernel("epanechnikov"),
+                        seed=62)
+        q = Q("class_probs", 0, "discrete", {2: 0.0}, class_columns=(0, 1))
+        probs = classify(model, q).value
+        assert np.all(np.isfinite(probs))
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class _QuadratureSource:
+    """A KDE's response slices with the closed forms dropped, so every
+    functional integrates ``density`` by adaptive quadrature: the reference
+    path. Gaussian slices get the per-integer noise kinks as breakpoints,
+    Epanechnikov ones every kernel edge r_i +- h, the kinks of their sum."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def response_slice(self, response_index, covariate_point):
+        sl = response_slice(self.model, response_index, covariate_point)
+        if self.model.kernel.name == "epanechnikov":
+            h = self.model.effective_bandwidths[response_index]
+            resp = np.concatenate([rep.rows[:, response_index] for rep in self.model.replicates])
+            breaks = np.concatenate([resp - h, resp + h])
+        else:
+            g1, g2 = self.model.noise.gamma1, self.model.noise.gamma2
+            breaks = [k + g for k in range(math.floor(sl.lower), math.ceil(sl.upper) + 1)
+                      for g in (-g2, -g1, g1, g2)]
+        return ResponseSlice(density=sl.density, lower=sl.lower, upper=sl.upper,
+                             breakpoints=tuple(breaks), response_min=sl.response_min,
+                             response_max=sl.response_max)
+
+
+def _battery_queries(response_index, point):
+    Q = FunctionalQuery
+    if response_index == 0:
+        return [Q("mean", 0, "discrete", point)] + [
+            Q("cdf", 0, "discrete", point, threshold=t) for t in (-1, 0, 1, 2, 5)
+        ] + [Q("quantile", 0, "discrete", point, alpha=a) for a in (0.1, 0.5, 0.9)]
+    return [Q("mean", 1, "continuous", point)] + [
+        Q("cdf", 1, "continuous", point, threshold=t) for t in (-1.3, 0.2, 1.7)
+    ] + [Q("quantile", 1, "continuous", point, alpha=a) for a in (0.1, 0.5, 0.9)]
+
+
+class TestClosedFormMatchesQuadrature:
+    @pytest.mark.parametrize("kernel_name,n", [("gaussian", 300), ("epanechnikov", 40)])
+    @pytest.mark.parametrize("response_index,point", [
+        (0, {}), (0, {1: 0.3}), (1, {}), (1, {0: 1.0}),
+    ], ids=["z", "z|x", "x", "x|z"])
+    def test_battery(self, kernel_name, n, response_index, point):
+        model = _zx_kde(kernel_name, n, seed=70)
+        reference = _QuadratureSource(model)
+        functional = {"mean": cond_mean, "cdf": cond_cdf, "quantile": cond_quantile}
+        for q in _battery_queries(response_index, point):
+            fast = functional[q.kind](model, q)
+            slow = functional[q.kind](reference, q)
+            assert fast.denominator_mass == pytest.approx(slow.denominator_mass, abs=1e-10)
+            if q.kind == "quantile" and q.response_kind == "discrete":
+                assert fast.value == slow.value
+            else:
+                tol = 1e-8 if q.kind == "quantile" else 1e-10
+                assert fast.value == pytest.approx(slow.value, abs=tol), q
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_integrals_on_subintervals(self, kernel_name):
+        # cond_mean integrates over the whole window, where the partial
+        # moment term vanishes; subintervals are where it counts
+        model = _zx_kde(kernel_name, 40, seed=71)
+        sl = response_slice(model, 1, {0: 2.0})
+        ref = _QuadratureSource(model).response_slice(1, {0: 2.0})
+        for a, b in [(sl.lower, sl.upper), (-0.4, 0.9), (1.0, 1.0), (sl.lower, -2.0)]:
+            assert sl.integral(a, b) == pytest.approx(ref.integral(a, b), abs=1e-10)
+            assert sl.first_moment(a, b) == pytest.approx(ref.first_moment(a, b), abs=1e-10)
+
+    def test_kde_slice_has_no_breakpoints(self):
+        sl = response_slice(_zx_kde("gaussian", 50, seed=72), 0, {})
+        assert sl.breakpoints == ()
+
+
+_KDE_PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+_small_fits = st.tuples(
+    st.sampled_from(["gaussian", "epanechnikov"]),
+    st.integers(10, 60),
+    st.integers(0, 10_000),
+    st.sampled_from([0.0, 0.4, 0.8]),
+    st.sampled_from([1, 2, 5]),
+)
+
+
+def _fit(params):
+    kernel_name, n, seed, theta, nu = params
+    return _zx_kde(kernel_name, n, seed, spec=NoiseSpec(theta, nu, dims=1))
+
+
+class TestKdeProperties:
+    @_KDE_PROPERTIES
+    @given(_small_fits, st.lists(st.floats(-4.0, 6.0), min_size=2, max_size=8))
+    def test_continuous_cdf_bounded_and_monotone(self, params, thresholds):
+        model = _fit(params)
+        z = float(model.origin.rows[0, 0])
+        vals = [
+            cond_cdf(model, FunctionalQuery("cdf", 1, "continuous", {0: z}, threshold=t)).value
+            for t in sorted(thresholds)
+        ]
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert np.all(np.diff(vals) >= -1e-12)
+
+    @_KDE_PROPERTIES
+    @given(_small_fits, st.floats(0.02, 0.98))
+    def test_discrete_quantile_cdf_coherence(self, params, alpha):
+        model = _fit(params)
+        x = float(model.origin.rows[0, 1])
+        q = cond_quantile(model, FunctionalQuery("quantile", 0, "discrete", {1: x},
+                                                 alpha=alpha)).value
+
+        def cdf(t):
+            return cond_cdf(model, FunctionalQuery("cdf", 0, "discrete", {1: x},
+                                                   threshold=t)).value
+
+        assert 0.0 <= cdf(q) <= 1.0
+        assert cdf(q) >= alpha - 1e-9
+        if q > model.origin.rows[:, 0].min() - 2:
+            assert cdf(q - 1.0) < alpha
+
+    @_KDE_PROPERTIES
+    @given(_small_fits)
+    def test_classify_sums_to_one(self, params):
+        kernel_name, n, seed, theta, nu = params
+        ds = _two_class_dataset(n, seed)
+        model = fit_kde(ds, NoiseSpec(theta, nu, dims=2), kernel=get_kernel(kernel_name),
+                        seed=seed + 1)
+        x = float(ds.rows[0, 2])
+        est = classify(model, FunctionalQuery("class_probs", 0, "discrete", {2: x},
+                                              class_columns=(0, 1)))
+        assert np.all(est.value >= 0.0)
+        assert est.value.sum() == pytest.approx(1.0, abs=1e-12)
