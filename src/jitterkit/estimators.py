@@ -6,6 +6,12 @@ and average the per-replicate results. Bandwidths live on the
 standardized scale (the transform is computed from the first jitter
 replicate), so evaluation uses the effective per-column bandwidth
 ``b_j * scale_j`` on original units.
+
+Every kernel sum goes through :meth:`Kernel.product_weights`, which
+builds the product-kernel weights one column at a time on 1-D column
+views, so no (n, d) temporary is made. ``kde_eval`` and ``loclin_eval``
+walk each replicate in fixed chunks of ``_CHUNK_ROWS`` rows, which bounds
+their working memory independently of n.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .noise import NoiseSpec
 _KERNEL_NAMES = ("gaussian", "epanechnikov")
 _RIDGE_FACTOR = 1e-8
 _MIN_TOTAL_WEIGHT = 1e-12
+_CHUNK_ROWS = 32_768  # rows per evaluation chunk: ~256 KB per float column
 
 MODEL_FORMAT = "jitterkit-model"
 MODEL_VERSION = 1
@@ -59,6 +66,35 @@ class Kernel:
             return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
         # epanechnikov, compact support [-1, 1]
         return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+    def product_weights(self, rows: np.ndarray, columns, point, h) -> np.ndarray:
+        """Product-kernel weights ``prod_j K((rows[:, c_j] - p_j) / h_j)``.
+
+        ``columns`` indexes the columns of ``rows`` that ``point`` and ``h``
+        give values and bandwidths for; with no columns every weight is 1.
+        Works column by column on 1-D views, so its temporaries are a few
+        arrays of ``len(rows)`` floats whatever the number of columns.
+        """
+        acc = np.zeros(len(rows)) if self.name == "gaussian" else np.ones(len(rows))
+        for c, p, hj in zip(columns, point, h):
+            u = np.subtract(rows[:, c], p)
+            u /= hj
+            np.square(u, out=u)
+            if self.name == "gaussian":
+                acc += u
+            else:
+                # 1 - u^2 clipped at 0 is exactly 0 outside the support |u| <= 1
+                np.subtract(1.0, u, out=u)
+                np.maximum(u, 0.0, out=u)
+                acc *= u
+        k = len(columns)
+        if self.name == "gaussian":
+            acc *= -0.5
+            np.exp(acc, out=acc)
+            acc *= (2.0 * math.pi) ** (-0.5 * k)
+        else:
+            acc *= 0.75**k
+        return acc
 
     def cdf(self, u: np.ndarray) -> np.ndarray:
         """Antiderivative ``int_{-inf}^u K(t) dt``."""
@@ -204,14 +240,13 @@ def fit_kde(
     )
 
 
-def _kde_replicate_values(model: KdeModel, point: np.ndarray) -> np.ndarray:
-    h = model.effective_bandwidths
-    norm = float(np.prod(h))
-    vals = np.empty(model.num_jitters)
-    for r, rep in enumerate(model.replicates):
-        k = model.kernel.profile((rep.rows - point) / h)
-        vals[r] = k.prod(axis=1).sum() / (rep.n * norm)
-    return vals
+def _finite_point(point, d: int, what: str) -> np.ndarray:
+    point = np.asarray(point, dtype=float)
+    if point.shape != (d,):
+        raise InvalidParameterError(f"{what} must have {d} coordinates, got shape {point.shape}")
+    if not np.all(np.isfinite(point)):
+        raise InvalidParameterError(f"{what} must be finite, got {point.tolist()}")
+    return point
 
 
 def kde_eval(model: KdeModel, point) -> float:
@@ -220,11 +255,19 @@ def kde_eval(model: KdeModel, point) -> float:
     The value is the arithmetic mean of the per-replicate product-kernel
     estimates; it is nonnegative and a pure function of (model, point).
     """
-    point = np.asarray(point, dtype=float)
     d = len(model.schema)
-    if point.shape != (d,):
-        raise InvalidParameterError(f"point must have {d} coordinates, got shape {point.shape}")
-    return float(np.mean(_kde_replicate_values(model, point)))
+    point = _finite_point(point, d, "point")
+    h = model.effective_bandwidths
+    columns = range(d)
+    norm = float(np.prod(h))
+    vals = np.empty(model.num_jitters)
+    for r, rep in enumerate(model.replicates):
+        total = 0.0
+        for start in range(0, rep.n, _CHUNK_ROWS):
+            chunk = rep.rows[start:start + _CHUNK_ROWS]
+            total += float(model.kernel.product_weights(chunk, columns, point, h).sum())
+        vals[r] = total / (rep.n * norm)
+    return float(np.mean(vals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,16 +374,33 @@ def fit_loclin(
     )
 
 
-def _weighted_local_fit(dx: np.ndarray, w: np.ndarray, y: np.ndarray) -> float:
+def _normal_equations(
+    kernel: Kernel, rows: np.ndarray, y: np.ndarray, columns, x0: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel-weighted normal equations ``(A'WA, A'Wy)`` of the local linear
+    fit around ``x0`` over ``rows``, where row i of ``A`` is
+    ``(1, rows[i, columns] - x0)``."""
+    w = kernel.product_weights(rows, columns, x0, h)
+    dx = np.empty((len(columns), len(rows)))
+    for j, c in enumerate(columns):
+        np.subtract(rows[:, c], x0[j], out=dx[j])
+    wdx = dx * w
+    m = np.empty((len(columns) + 1, len(columns) + 1))
+    m[0, 0] = w.sum()
+    m[0, 1:] = m[1:, 0] = wdx.sum(axis=1)
+    m[1:, 1:] = wdx @ dx.T
+    wy = np.multiply(w, y, out=w)
+    return m, np.concatenate(([wy.sum()], dx @ wy))
+
+
+def _weighted_local_fit(m: np.ndarray, rhs: np.ndarray) -> float:
     """Solve the kernel-weighted least squares for the local intercept.
 
-    Minimizes ``sum_i w_i (y_i - m - beta' dx_i)^2``; returns ``m``, the
-    fitted value at the evaluation point. Falls back to a small ridge on
-    the normal equations only when the local design is singular.
+    ``m`` and ``rhs`` are the normal equations of minimizing
+    ``sum_i w_i (y_i - a - beta' dx_i)^2``; returns ``a``, the fitted value
+    at the evaluation point. Falls back to a small ridge on the normal
+    equations only when the local design is singular.
     """
-    a = np.column_stack([np.ones(dx.shape[0]), dx])
-    m = a.T @ (a * w[:, None])
-    rhs = a.T @ (w * y)
     try:
         beta = np.linalg.solve(m, rhs)
         if np.all(np.isfinite(beta)):
@@ -360,23 +420,27 @@ def loclin_eval(model: LocLinModel, covariate_point) -> float:
     intercept. Raises :class:`NoLocalDataError` when the total kernel
     weight in any replicate is below 1e-12.
     """
-    x0 = np.asarray(covariate_point, dtype=float)
     cov_idx = model.covariate_indices
-    if x0.shape != (len(cov_idx),):
-        raise InvalidParameterError(
-            f"covariate point must have {len(cov_idx)} coordinates, got shape {x0.shape}"
-        )
+    x0 = _finite_point(covariate_point, len(cov_idx), "covariate point")
     h = model.bandwidths * model.transform.scales
     estimates = np.empty(model.num_jitters)
     for r, rep in enumerate(model.replicates):
-        cov = rep.rows[:, cov_idx]
-        w = model.kernel.profile((cov - x0) / h).prod(axis=1)
-        total = w.sum()
+        y = model.response_values(rep)
+        m = np.zeros((len(cov_idx) + 1, len(cov_idx) + 1))
+        rhs = np.zeros(len(cov_idx) + 1)
+        for start in range(0, rep.n, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            chunk_m, chunk_rhs = _normal_equations(
+                model.kernel, rep.rows[start:stop], y[start:stop], cov_idx, x0, h
+            )
+            m += chunk_m
+            rhs += chunk_rhs
+        total = m[0, 0]
         if not total > _MIN_TOTAL_WEIGHT:
             raise NoLocalDataError(
                 f"total kernel weight {total} at point {x0.tolist()} (replicate {r})"
             )
-        estimates[r] = _weighted_local_fit(cov - x0, w, model.response_values(rep))
+        estimates[r] = _weighted_local_fit(m, rhs)
     return float(np.mean(estimates))
 
 

@@ -76,10 +76,14 @@ class FunctionalQuery:
         point = dict(self.covariate_point) if self.covariate_point else {}
         if self.response_index in point:
             raise InvalidParameterError("covariate_point must not include the response column")
+        if not all(math.isfinite(float(v)) for v in point.values()):
+            raise InvalidParameterError(f"covariate_point values must be finite, got {point}")
         object.__setattr__(self, "covariate_point", point)
         if self.kind == "cdf":
             if self.threshold is None:
                 raise InvalidParameterError("cdf queries need a threshold")
+            if not math.isfinite(float(self.threshold)):
+                raise InvalidParameterError(f"threshold must be finite, got {self.threshold}")
             if self.response_kind == "discrete" and not float(self.threshold).is_integer():
                 raise InvalidParameterError(
                     f"discrete-response threshold must be an integer, got {self.threshold}"
@@ -159,36 +163,39 @@ def _kde_response_slice(
     reps = model.replicates
     # the replicates' response values and covariate weights, stacked over all R * n rows
     resp = np.concatenate([rep.rows[:, response_index] for rep in reps])
-    if cov_idx:
-        cov = np.concatenate([rep.rows[:, cov_idx] for rep in reps])
-        w = kernel.profile((cov - cov_vals) / cov_h).prod(axis=1)
-    else:
-        w = np.ones(len(resp))
+    w = np.concatenate([kernel.product_weights(rep.rows, cov_idx, cov_vals, cov_h)
+                        for rep in reps])
     norm = len(resp) * h_resp * float(np.prod(cov_h))
-
-    def density(s: float) -> float:
-        return float((w * kernel.profile((resp - s) / h_resp)).sum()) / norm
-
-    def increments(a: float, b: float, antiderivative) -> np.ndarray:
-        return antiderivative((b - resp) / h_resp) - antiderivative((a - resp) / h_resp)
-
-    # int_a^b K((s - r) / h) ds = h [C(ub) - C(ua)]; with s = r + h t the
-    # first moment adds h^2 [M(ub) - M(ua)] to r times that mass
-    def integral(a: float, b: float) -> float:
-        return float((w * increments(a, b, kernel.cdf)).sum()) * h_resp / norm
-
-    def first_moment(a: float, b: float) -> float:
-        centres = resp * increments(a, b, kernel.cdf)
-        spreads = h_resp * increments(a, b, kernel.partial_moment)
-        return float((w * (centres + spreads)).sum()) * h_resp / norm
 
     observed = model.origin.rows[:, response_index]
     r_min = float(observed.min())
     r_max = float(observed.max())
     pad = _WINDOW_BANDWIDTHS * float(h.max()) + 1.0
+    lower = r_min - pad
+    # most integrals start at the window floor (every bisection step of a
+    # continuous quantile does), so its kernel CDF is computed once
+    floor_cdf = kernel.cdf((lower - resp) / h_resp)
+
+    def cdf_at(t: float) -> np.ndarray:
+        return floor_cdf if t == lower else kernel.cdf((t - resp) / h_resp)
+
+    def density(s: float) -> float:
+        return float((w * kernel.profile((resp - s) / h_resp)).sum()) / norm
+
+    # int_a^b K((s - r) / h) ds = h [C(ub) - C(ua)]; with s = r + h t the
+    # first moment adds h^2 [M(ub) - M(ua)] to r times that mass
+    def integral(a: float, b: float) -> float:
+        return float((w * (cdf_at(b) - cdf_at(a))).sum()) * h_resp / norm
+
+    def first_moment(a: float, b: float) -> float:
+        centres = resp * (cdf_at(b) - cdf_at(a))
+        moment = kernel.partial_moment
+        spreads = h_resp * (moment((b - resp) / h_resp) - moment((a - resp) / h_resp))
+        return float((w * (centres + spreads)).sum()) * h_resp / norm
+
     return ResponseSlice(
         density=density,
-        lower=r_min - pad,
+        lower=lower,
         upper=r_max + pad,
         response_min=r_min,
         response_max=r_max,

@@ -166,6 +166,24 @@ class TestFitEvalCommands:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("estimator,query", [
+        ("kde", ["--functional", "density", "--at", "z=nan,x=0"]),
+        ("kde", ["--functional", "density", "--at", "z=2,x=inf"]),
+        ("kde", ["--functional", "mean", "--response", "z", "--at", "x=nan"]),
+        ("kde", ["--functional", "cdf", "--response", "x", "--threshold", "nan"]),
+        ("loclin", ["--functional", "mean", "--at", "z=nan"]),
+    ])
+    def test_non_finite_point_exit_1(self, data_csv, tmp_path, capsys, estimator, query):
+        model = tmp_path / "m.bin"
+        fit_extra = ["--estimator", "loclin", "--response", "x"] if estimator == "loclin" else []
+        assert main(["fit", "--input", str(data_csv), "--output", str(model),
+                     *SCHEMA_FLAGS, *fit_extra]) == 0
+        code = main(["eval", "--model", str(model), *query])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "finite" in captured.err
+
 
 class TestConfigPrecedence:
     def test_config_supplies_and_flag_overrides(self, data_csv, tmp_path):

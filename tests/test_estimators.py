@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from jitterkit import (
     select_bandwidth,
 )
 
+from jitterkit import estimators
 from conftest import discrete_dataset
 
 SPEC = NoiseSpec(theta=0.8, nu=5, dims=1)
@@ -44,6 +46,18 @@ def _continuous_dataset(n=100, seed=3, slope=3.0, intercept=0.0, noise=0.0):
     y = intercept + slope * x + noise * rng.normal(size=n)
     schema = (ColumnSchema("y", "continuous"), ColumnSchema("x", "continuous"))
     return MixedDataset(schema, np.column_stack([y, x]))
+
+
+def _mixed_dataset(num_discrete, n, seed):
+    """``num_discrete`` binomial columns, then two continuous columns that
+    depend on them: a covariate x and a response y."""
+    rng = np.random.default_rng(seed)
+    z = rng.binomial(4, 0.3, size=(n, num_discrete)).astype(float)
+    x = z.sum(axis=1) * 0.5 + rng.normal(size=n)
+    y = np.sin(x) + z[:, 0] ** 2 + 0.3 * rng.normal(size=n)
+    schema = tuple(ColumnSchema(f"z{j}", "discrete_ordered") for j in range(num_discrete))
+    schema += (ColumnSchema("x", "continuous"), ColumnSchema("y", "continuous"))
+    return MixedDataset(schema, np.column_stack([z, x, y]))
 
 
 class TestKernelShape:
@@ -158,6 +172,30 @@ def _brute_kde(model, point):
     return total / model.num_jitters * np.prod(1.0 / model.transform.scales)
 
 
+def _mixed_kde(kernel_name, num_discrete, d, n=50, seed=0):
+    ds = _mixed_dataset(num_discrete, n, seed)
+    ds = MixedDataset(ds.schema[:d], ds.rows[:, :d])
+    return fit_kde(ds, NoiseSpec(0.8, 5, dims=num_discrete), kernel=get_kernel(kernel_name),
+                   num_jitters=2, seed=seed + 1)
+
+
+def _dyadic_model(kernel_name, d):
+    """Hand-built model: bandwidth 0.5, identity transform and rows on the
+    0.25 grid, so grid points at exactly |u| = 1 from a row are exact."""
+    rows = np.random.default_rng(d).integers(-8, 9, size=(50, d)) * 0.25
+    origin = MixedDataset(tuple(ColumnSchema(f"c{j}", "continuous") for j in range(d)), rows)
+    rep = JitteredDataset(origin=origin, noise=NO_DISCRETE, seed=0, replicate_index=0,
+                          rows=rows)
+    return KdeModel(
+        kernel=get_kernel(kernel_name),
+        noise=NO_DISCRETE,
+        seed=0,
+        bandwidths=np.full(d, 0.5),
+        transform=Standardization(means=np.zeros(d), scales=np.ones(d)),
+        replicates=(rep,),
+    )
+
+
 class TestKdeEval:
     def test_single_observation_kernel_value(self):
         model = _single_point_model()
@@ -220,6 +258,44 @@ class TestKdeEval:
         model = fit_kde(ds, SPEC, seed=3)
         with pytest.raises(InvalidParameterError):
             kde_eval(model, [1.0, 2.0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, value):
+        model = _mixed_kde("gaussian", 1, 2)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            kde_eval(model, [value, 0.0])
+
+    # n = 50 rows in chunks of 7: seven full chunks and a ragged one of 1
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("num_discrete,d", [(1, 2), (1, 3), (2, 3)])
+    def test_multivariate_matches_standardized_route(
+        self, monkeypatch, chunk_rows, kernel_name, num_discrete, d
+    ):
+        if chunk_rows is not None:
+            monkeypatch.setattr(estimators, "_CHUNK_ROWS", chunk_rows)
+        model = _mixed_kde(kernel_name, num_discrete, d)
+        rng = np.random.default_rng(d)
+        points = model.origin.rows[:8] + rng.normal(scale=0.3, size=(8, d))
+        values = [kde_eval(model, p) for p in points]
+        assert max(values) > 0.0
+        for p, v in zip(points, values):
+            assert v == pytest.approx(_brute_kde(model, p), abs=1e-14, rel=1e-12)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_epanechnikov_support_edge(self, monkeypatch, chunk_rows, d):
+        if chunk_rows is not None:
+            monkeypatch.setattr(estimators, "_CHUNK_ROWS", chunk_rows)
+        model = _dyadic_model("epanechnikov", d)
+        rows = model.replicates[0].rows
+        h = model.effective_bandwidths
+        for i in range(6):
+            p = rows[i] + h * np.eye(d)[i % d]  # row i sits at exactly u = -1
+            u = (rows - p) / h
+            assert np.any(np.abs(u) == 1.0)
+            assert kde_eval(model, p) == pytest.approx(_brute_kde(model, p), abs=1e-14,
+                                                       rel=1e-12)
 
 
 class TestFitLoclin:
@@ -323,6 +399,65 @@ class TestLoclinEval:
         model = fit_loclin(ds, 0, NO_DISCRETE, seed=0)
         with pytest.raises(InvalidParameterError):
             loclin_eval(model, [0.1, 0.2])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_point_rejected(self, value):
+        model = fit_loclin(_continuous_dataset(), 0, NO_DISCRETE, seed=0)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            loclin_eval(model, [value])
+
+    # n = 50 rows in chunks of 7: seven full chunks and a ragged one of 1
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_two_covariates_match_lstsq(self, monkeypatch, chunk_rows, kernel_name):
+        if chunk_rows is not None:
+            monkeypatch.setattr(estimators, "_CHUNK_ROWS", chunk_rows)
+        ds = _mixed_dataset(1, 50, seed=12)
+        model = fit_loclin(ds, 2, SPEC, kernel=get_kernel(kernel_name), num_jitters=2,
+                           seed=13, bandwidth=0.9)
+        rng = np.random.default_rng(14)
+        for x0 in ds.rows[:8, :2] + rng.normal(scale=0.2, size=(8, 2)):
+            assert loclin_eval(model, x0) == pytest.approx(_lstsq_loclin(model, x0), abs=1e-10)
+
+
+def _lstsq_loclin(model, x0):
+    """Reference: per replicate, the kernel-weighted least squares solved
+    by ``np.linalg.lstsq`` on the sqrt-weighted design."""
+    h = model.bandwidths * model.transform.scales
+    cov = list(model.covariate_indices)
+    fits = []
+    for rep in model.replicates:
+        dx = rep.rows[:, cov] - x0
+        sw = np.sqrt(model.kernel.profile(dx / h).prod(axis=1))
+        a = np.column_stack([np.ones(len(dx)), dx])
+        beta = np.linalg.lstsq(a * sw[:, None], model.response_values(rep) * sw, rcond=None)[0]
+        fits.append(beta[0])
+    return float(np.mean(fits))
+
+
+class TestEvalMemory:
+    """Evaluation walks the rows in fixed chunks, so its peak allocation at
+    n = 200 000 stays below a single float column of the data."""
+
+    @pytest.mark.parametrize("estimator", ["gaussian", "epanechnikov", "loclin"])
+    def test_peak_below_one_column(self, estimator):
+        n = 200_000
+        ds = _mixed_dataset(1, n, seed=30)
+        ds = MixedDataset(ds.schema[:2], ds.rows[:, :2])
+        if estimator == "loclin":
+            model = fit_loclin(ds, 1, SPEC, num_jitters=2, seed=31)
+            evaluate, point = loclin_eval, [1.0]
+        else:
+            model = fit_kde(ds, SPEC, kernel=get_kernel(estimator), num_jitters=2, seed=31)
+            evaluate, point = kde_eval, [1.0, 0.8]
+        tracemalloc.start()
+        try:
+            value = evaluate(model, point)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak < n * 8
 
 
 class TestSerialization:

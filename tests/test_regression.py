@@ -19,6 +19,7 @@ from jitterkit import (
     InvalidParameterError,
     JitteredDataset,
     KdeModel,
+    Kernel,
     MixedDataset,
     NoLocalDataError,
     NoiseSpec,
@@ -192,6 +193,18 @@ class TestQueryValidation:
         with pytest.raises(InvalidParameterError):
             FunctionalQuery(kind="cdf", response_index=0, response_kind="discrete",
                             threshold=0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_covariate_point(self, value):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            FunctionalQuery(kind="mean", response_index=0, response_kind="discrete",
+                            covariate_point={1: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold(self, value):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            FunctionalQuery(kind="cdf", response_index=0, response_kind="continuous",
+                            threshold=value)
 
     def test_covariate_point_includes_response(self):
         with pytest.raises(InvalidParameterError):
@@ -449,6 +462,56 @@ class TestClosedFormMatchesQuadrature:
     def test_kde_slice_has_no_breakpoints(self):
         sl = response_slice(_zx_kde("gaussian", 50, seed=72), 0, {})
         assert sl.breakpoints == ()
+
+
+def _recomputing_quantile(model, point, alpha):
+    """Continuous quantile of column 1 by the same bisection as
+    ``cond_quantile``, recomputing every kernel CDF term at every step."""
+    sl = response_slice(model, 1, point)
+    h = model.effective_bandwidths
+    cov_idx = sorted(point)
+    cov_vals = [point[j] for j in cov_idx]
+    resp = np.concatenate([rep.rows[:, 1] for rep in model.replicates])
+    w = np.concatenate([model.kernel.product_weights(rep.rows, cov_idx, cov_vals, h[cov_idx])
+                        for rep in model.replicates])
+    norm = len(resp) * h[1] * float(np.prod(h[cov_idx]))
+
+    def cum(t):
+        inc = model.kernel.cdf((t - resp) / h[1]) - model.kernel.cdf((sl.lower - resp) / h[1])
+        return float((w * inc).sum()) * h[1] / norm
+
+    denom = cum(sl.upper)
+    lo, hi = sl.lower, sl.upper
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if min(max(cum(mid) / denom, 0.0), 1.0) >= alpha:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestContinuousQuantileWork:
+    """The kernel CDF at the window floor is computed once per slice, not
+    once per bisection step, and the quantiles do not change."""
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("point", [{}, {0: 1.0}], ids=["x", "x|z"])
+    def test_identical_to_recomputing_bisection(self, kernel_name, point):
+        model = _zx_kde(kernel_name, 200, seed=73)
+        for alpha in (0.05, 0.5, 0.93):
+            q = FunctionalQuery("quantile", 1, "continuous", point, alpha=alpha)
+            assert cond_quantile(model, q).value == _recomputing_quantile(model, point, alpha)
+
+    def test_kernel_cdf_calls(self, monkeypatch):
+        model = _zx_kde("gaussian", 200, seed=74)
+        sl = response_slice(model, 1, {0: 1.0})
+        steps = math.ceil(math.log2((sl.upper - sl.lower) / 1e-8))
+        calls = []
+        cdf = Kernel.cdf
+        monkeypatch.setattr(Kernel, "cdf", lambda self, u: calls.append(1) or cdf(self, u))
+        cond_quantile(model, FunctionalQuery("quantile", 1, "continuous", {0: 1.0}, alpha=0.4))
+        assert len(calls) <= steps + 4
 
 
 _KDE_PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
