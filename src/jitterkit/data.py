@@ -242,11 +242,6 @@ class Standardization:
     def invert(self, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows, dtype=float) * self.scales + self.means
 
-    @property
-    def jacobian(self) -> float:
-        """Volume change of the forward map: product of 1/scale."""
-        return float(np.prod(1.0 / self.scales))
-
 
 def standardize(dataset: MixedDataset) -> tuple[MixedDataset, Standardization]:
     """Center and scale every column to unit sample variance (ddof=1).

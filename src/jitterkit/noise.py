@@ -22,13 +22,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
-from .errors import InvalidParameterError, NumericalError
+from .errors import InvalidParameterError
 from .quadrature import adaptive_integral
-
-_CF_MAX_ITER = 300
-_CF_EPS = 1e-16
-_CF_FPMIN = 1e-300
 
 
 @dataclass(frozen=True)
@@ -105,53 +102,12 @@ class NoiseReport:
         return "\n".join(lines)
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, by modified Lentz."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
-        d = _CF_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise NumericalError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
-    )
-
-
 def beta_cdf(nu: int, x: float) -> float:
     """CDF of Beta(nu, nu) at ``x``: the regularized incomplete beta I_x(nu, nu).
 
-    Inputs outside [0, 1] clamp to 0 and 1. Uses the continued fraction
-    with the usual symmetry switch at x = (nu + 1) / (2 nu + 2) so both
-    tails converge fast; absolute error is well below 1e-12.
+    Inputs outside [0, 1] clamp to 0 and 1 (so ``x = inf`` gives 1); the
+    interior is ``scipy.special.betainc``. ``x = nan`` is rejected rather
+    than passed on as a nan CDF.
     """
     if not float(nu).is_integer() or nu < 1:
         raise InvalidParameterError(f"nu must be a positive integer, got {nu}")
@@ -160,20 +116,20 @@ def beta_cdf(nu: int, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
+    if math.isnan(x):
+        raise InvalidParameterError("beta_cdf needs a number, got nan")
     a = float(nu)
-    ln_front = math.lgamma(2.0 * a) - 2.0 * math.lgamma(a) + a * math.log(x) + a * math.log1p(-x)
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (2.0 * a + 2.0):
-        return front * _beta_continued_fraction(a, a, x) / a
-    return 1.0 - front * _beta_continued_fraction(a, a, 1.0 - x) / a
+    return float(betainc(a, a, x))
 
 
 def eta_density(spec: NoiseSpec, x: float) -> float:
     """Density of a single noise coordinate at ``x``.
 
     Equals 1 on the plateau [-gamma1, gamma1] and 0 for |x| >= gamma2,
-    both enforced exactly; in between the value is the Beta(nu, nu) CDF
-    increment ``F((x + 0.5)/theta + 0.5) - F((x - 0.5)/theta + 0.5)``.
+    both enforced exactly; in between it is the Beta(nu, nu) CDF
+    ``F((0.5 - |x|)/theta + 0.5)``. (The increment
+    ``F((|x| + 0.5)/theta + 0.5) - F((|x| - 0.5)/theta + 0.5)`` reduces to
+    it: off the plateau the first term is 1, and ``1 - F(y) = F(1 - y)``.)
     Evaluation is on |x|, so symmetry holds bitwise.
     """
     ax = abs(float(x))
@@ -181,11 +137,10 @@ def eta_density(spec: NoiseSpec, x: float) -> float:
         return 1.0
     if ax >= spec.gamma2:
         return 0.0
-    # theta = 0 never reaches this branch: gamma1 = gamma2 = 0.5.
-    t = spec.theta
-    upper = beta_cdf(spec.nu, (ax + 0.5) / t + 0.5)
-    lower = beta_cdf(spec.nu, (ax - 0.5) / t + 0.5)
-    return max(upper - lower, 0.0)
+    # only nan gets here when theta = 0 (gamma1 = gamma2 = 0.5)
+    if math.isnan(ax):
+        raise InvalidParameterError("eta_density needs a number, got nan")
+    return beta_cdf(spec.nu, (0.5 - ax) / spec.theta + 0.5)
 
 
 def noise_stream(seed: int, replicate_index: int = 0) -> np.random.Generator:

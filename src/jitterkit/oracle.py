@@ -26,7 +26,6 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .noise import NoiseSpec, eta_density
-from .quadrature import adaptive_integral  # noqa: F401  (re-exported: it is this module's integrator)
 from .regression import ResponseSlice
 
 _PMF_SUM_TOL = 1e-12
@@ -105,6 +104,20 @@ class DiscretePmf:
         return cls(support_min=0, probabilities=tuple(r / total for r in raw))
 
 
+def _eta_mixture(spec: NoiseSpec, weights, s: float) -> float:
+    """``sum_k w_k * eta(s - k)`` over the ``(k, w_k)`` pairs in ``weights``.
+
+    Terms with zero weight or with ``|s - k|`` outside the noise support
+    contribute exactly zero and are skipped.
+    """
+    total = 0.0
+    for k, w in weights:
+        if w == 0.0 or abs(s - k) >= spec.gamma2:
+            continue
+        total += w * eta_density(spec, s - k)
+    return total
+
+
 def convolve_density(pmf: DiscretePmf, spec: NoiseSpec, z: float) -> float:
     """Exact density of the jittered variable: ``sum_k pmf(k) * eta(z - k)``.
 
@@ -112,13 +125,8 @@ def convolve_density(pmf: DiscretePmf, spec: NoiseSpec, z: float) -> float:
     outside the noise support contribute exactly zero, so the value is
     exact up to floating error. At integer ``z`` it reproduces the pmf.
     """
-    z = float(z)
-    total = 0.0
-    for k, p in zip(pmf.support, pmf.probabilities):
-        if p == 0.0 or abs(z - k) >= spec.gamma2:
-            continue
-        total += p * eta_density(spec, z - k)
-    return total
+    support = range(pmf.support_min, pmf.support_max + 1)  # ints: numpy scalars are slow here
+    return _eta_mixture(spec, zip(support, pmf.probabilities), float(z))
 
 
 def finite_difference(f: Callable[[float], float], x: float, order: int, h: float) -> float:
@@ -347,21 +355,6 @@ class AnalyticJitteredDensity:
     def ncols(self) -> int:
         return 1 if self.model.continuous is None else 2
 
-    def joint_density(self, z: float, x: float | None = None) -> float:
-        """Density of the jittered vector at (z[, x])."""
-        pmf = self.model.margin
-        total = 0.0
-        for k, p in zip(pmf.support, pmf.probabilities):
-            if p == 0.0 or abs(z - k) >= self.spec.gamma2:
-                continue
-            term = p * eta_density(self.spec, z - float(k))
-            if x is not None:
-                if self.model.continuous is None:
-                    raise SchemaError("model has no continuous coordinate")
-                term *= self.model.continuous.density(float(x), float(k))
-            total += term
-        return total
-
     def response_slice(
         self, response_index: int, covariate_point: Mapping[int, float]
     ) -> ResponseSlice:
@@ -384,20 +377,12 @@ class AnalyticJitteredDensity:
                 w = p if x_cond is None else p * cont.density(float(x_cond), float(k))
                 weights.append((int(k), w))
 
-            def density(s: float) -> float:
-                total = 0.0
-                for k, w in weights:
-                    if w == 0.0 or abs(s - k) >= spec.gamma2:
-                        continue
-                    total += w * eta_density(spec, s - k)
-                return total
-
             g1, g2 = spec.gamma1, spec.gamma2
             breaks = []
             for k in pmf.support:
                 breaks.extend((k - g2, k - g1, k + g1, k + g2))
             return ResponseSlice(
-                density=density,
+                density=lambda s: _eta_mixture(spec, weights, s),
                 lower=float(pmf.support_min) - 1.0,
                 upper=float(pmf.support_max) + 1.0,
                 breakpoints=tuple(float(b) for b in breaks),

@@ -50,6 +50,11 @@ _KINDS = ("mean", "cdf", "quantile", "class_probs")
 _RESPONSE_KINDS = ("discrete", "continuous")
 
 
+def _check_finite_point(point: Mapping[int, float]) -> None:
+    if not all(math.isfinite(float(v)) for v in point.values()):
+        raise InvalidParameterError(f"covariate_point values must be finite, got {dict(point)}")
+
+
 @dataclass(frozen=True)
 class FunctionalQuery:
     """What to estimate, about which column, at which covariate point.
@@ -76,8 +81,7 @@ class FunctionalQuery:
         point = dict(self.covariate_point) if self.covariate_point else {}
         if self.response_index in point:
             raise InvalidParameterError("covariate_point must not include the response column")
-        if not all(math.isfinite(float(v)) for v in point.values()):
-            raise InvalidParameterError(f"covariate_point values must be finite, got {point}")
+        _check_finite_point(point)
         object.__setattr__(self, "covariate_point", point)
         if self.kind == "cdf":
             if self.threshold is None:
@@ -93,9 +97,6 @@ class FunctionalQuery:
                 raise InvalidParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.kind == "class_probs" and not self.class_columns:
             raise InvalidParameterError("class_probs queries need class_columns")
-
-    def point_value(self, index: int) -> float:
-        return self.covariate_point[index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +213,9 @@ def response_slice(
 
     ``model`` is a fitted :class:`~jitterkit.estimators.KdeModel` or any
     object with a ``response_slice`` method of the same signature.
+    Covariate values must be finite.
     """
+    _check_finite_point(covariate_point)
     if isinstance(model, KdeModel):
         return _kde_response_slice(model, response_index, covariate_point)
     if hasattr(model, "response_slice"):

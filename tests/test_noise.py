@@ -69,6 +69,12 @@ class TestBetaCdf:
         with pytest.raises(InvalidParameterError):
             beta_cdf(0, 0.5)
 
+    def test_nan_rejected_inf_clamped(self):
+        with pytest.raises(InvalidParameterError):
+            beta_cdf(5, math.nan)
+        assert beta_cdf(5, math.inf) == 1.0
+        assert beta_cdf(5, -math.inf) == 0.0
+
     @pytest.mark.parametrize("nu", [1, 2, 3, 5, 8])
     def test_against_scipy(self, nu):
         xs = np.linspace(1e-9, 1 - 1e-9, 801)
@@ -76,7 +82,7 @@ class TestBetaCdf:
         ref = scipy.special.betainc(nu, nu, xs)
         assert_allclose(ours, ref, atol=1e-13)
 
-    @pytest.mark.parametrize("nu", [1, 2, 4, 6])
+    @pytest.mark.parametrize("nu", [1, 2, 4, 6, 20, 40])
     def test_against_binomial_sum(self, nu):
         """Independent oracle: for integer shapes, I_x(nu, nu) equals the
         upper binomial tail P(Binomial(2 nu - 1, x) >= nu)."""
@@ -130,24 +136,40 @@ class TestEtaDensity:
             assert eta_density(battery_spec, x) == 0.0
             assert eta_density(battery_spec, -x) == 0.0
 
+    def test_non_finite_input(self, battery_spec):
+        with pytest.raises(InvalidParameterError):
+            eta_density(battery_spec, math.nan)
+        assert eta_density(battery_spec, math.inf) == 0.0
+        assert eta_density(battery_spec, -math.inf) == 0.0
+
     def test_against_convolution_oracle(self):
         """Independent oracle: eta is the density of U + theta (B - 0.5),
         i.e. the B-average of a shifted uniform indicator (quadrature)."""
         spec = NoiseSpec(theta=0.6, nu=3, dims=1)
-
-        def oracle(x):
-            val, _ = scipy.integrate.quad(
-                lambda b: scipy.stats.beta.pdf(b, 3, 3)
-                * (abs(x - spec.theta * (b - 0.5)) < 0.5),
-                0.0,
-                1.0,
-                limit=200,
-                points=[(x - 0.5) / spec.theta + 0.5, (x + 0.5) / spec.theta + 0.5],
-            )
-            return val
-
         for x in (0.1, 0.25, 0.4, 0.55, 0.7, 0.75):
-            assert eta_density(spec, x) == pytest.approx(oracle(x), abs=1e-9)
+            assert eta_density(spec, x) == pytest.approx(_convolution_oracle(spec, x), abs=1e-9)
+
+    @pytest.mark.parametrize("theta,nu", [tv for tv in BATTERY if tv[0] > 0.0],
+                             ids=str)
+    def test_against_convolution_oracle_battery(self, theta, nu):
+        spec = NoiseSpec(theta=theta, nu=nu, dims=1)
+        shoulder = np.linspace(spec.gamma1, spec.gamma2, 9)[1:-1]
+        for x in (0.1, 0.25, 0.4, 0.55, 0.7, 0.75, *shoulder):
+            assert eta_density(spec, x) == pytest.approx(_convolution_oracle(spec, x), abs=1e-9)
+
+
+def _convolution_oracle(spec, x):
+    """eta at ``x`` as the Beta(nu, nu) average of the uniform density of
+    U + theta (B - 0.5) given B, by quadrature over B."""
+    val, _ = scipy.integrate.quad(
+        lambda b: scipy.stats.beta.pdf(b, spec.nu, spec.nu)
+        * (abs(x - spec.theta * (b - 0.5)) < 0.5),
+        0.0,
+        1.0,
+        limit=200,
+        points=[(x - 0.5) / spec.theta + 0.5, (x + 0.5) / spec.theta + 0.5],
+    )
+    return val
 
 
 class TestSampleNoise:

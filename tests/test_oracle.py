@@ -1,5 +1,7 @@
 """Analytic oracle: convolution, quadrature, finite differences, functionals."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -64,6 +66,10 @@ class TestConvolveDensity:
     def test_theta_zero_step(self, binom43):
         spec = NoiseSpec(theta=0.0, nu=1, dims=1)
         assert convolve_density(binom43, spec, 2.3) == pytest.approx(0.2646, abs=1e-12)
+
+    def test_nan_rejected(self, binom43, battery_spec):
+        with pytest.raises(InvalidParameterError):
+            convolve_density(binom43, battery_spec, math.nan)
 
     def test_far_outside_support(self, binom43, battery_spec):
         z = binom43.support_min - 2
@@ -240,12 +246,6 @@ class TestGaussianConditional:
                 margin=binom43,
                 continuous=GaussianConditional(scale_intercept=0.5, scale_slope=-0.2),
             )
-
-
-def test_adaptive_integral_reachable_from_oracle_module():
-    from jitterkit import oracle
-
-    assert oracle.adaptive_integral is adaptive_integral
 
 
 class TestModelFromConfig:

@@ -464,6 +464,20 @@ class TestClosedFormMatchesQuadrature:
         assert sl.breakpoints == ()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("source", ["kde", "analytic"])
+def test_response_slice_rejects_non_finite_covariate(source, value):
+    # response_slice is public: a hand-built covariate point does not pass
+    # through FunctionalQuery's check
+    if source == "kde":
+        model, response_index, point = _zx_kde("gaussian", 50, seed=73), 0, {1: value}
+    else:
+        model = AnalyticJitteredDensity(ZX_MODEL, NoiseSpec(0.8, 5, dims=1))
+        response_index, point = 1, {0: value}
+    with pytest.raises(InvalidParameterError, match="finite"):
+        response_slice(model, response_index, point)
+
+
 def _recomputing_quantile(model, point, alpha):
     """Continuous quantile of column 1 by the same bisection as
     ``cond_quantile``, recomputing every kernel CDF term at every step."""
