@@ -9,7 +9,6 @@ is flags > config file > built-in defaults. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import sys
@@ -78,7 +77,6 @@ DEFAULTS = {
     "n_grid": "500,2000,8000",
     "seeds": 20,
     "functionals": "kde_atom_mae",
-    "workers": 4,
 }
 
 _VERIFY_BATTERY = [(t, v) for t in (0.0, 0.4, 0.8) for v in (1, 2, 5)]
@@ -179,7 +177,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kernel", choices=("gaussian", "epanechnikov"), default=None)
     p.add_argument("--functionals", default=None,
                    help=f"comma-separated subset of {_BENCH_FUNCTIONALS}")
-    p.add_argument("--workers", type=int, default=None, help="concurrent (n, seed) cells")
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: (n, seed) cells run in order")
     p.add_argument("--output", required=True, help="long-format CSV (n, seed, functional, error)")
     _add_noise_opts(p)
     _add_config_opt(p)
@@ -541,17 +540,11 @@ def run_benchmark(args) -> int:
     spec_base = NoiseSpec(theta=float(_opt(args, cfg, "theta")),
                           nu=int(_opt(args, cfg, "nu")), dims=1)
 
-    cells = [(n, s) for n in n_grid for s in range(seeds)]
-    results = {}
-    workers = max(1, int(_opt(args, cfg, "workers")))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_bench_cell, model, spec_base, kernel_name, jitters,
-                        n, s, master_seed, functionals): (n, s)
-            for n, s in cells
-        }
-        for fut in concurrent.futures.as_completed(futures):
-            results[futures[fut]] = fut.result()
+    results = {
+        (n, s): _bench_cell(model, spec_base, kernel_name, jitters, n, s, master_seed, functionals)
+        for n in n_grid
+        for s in range(seeds)
+    }
 
     rows = []
     for n, s in sorted(results):

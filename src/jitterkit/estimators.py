@@ -21,7 +21,7 @@ import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
+import scipy
 
 from .data import (
     ColumnSchema,

@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
+import scipy
 
 from .errors import InvalidParameterError
 from .quadrature import adaptive_integral
@@ -119,7 +119,7 @@ def beta_cdf(nu: int, x: float) -> float:
     if math.isnan(x):
         raise InvalidParameterError("beta_cdf needs a number, got nan")
     a = float(nu)
-    return float(betainc(a, a, x))
+    return float(scipy.special.betainc(a, a, x))
 
 
 def eta_density(spec: NoiseSpec, x: float) -> float:

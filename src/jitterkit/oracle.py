@@ -9,6 +9,10 @@ finite-difference probes for derivative checks.
 :class:`AnalyticJitteredDensity` exposes the exact jittered joint density
 through the same slicing interface fitted KDE models use, so the
 regression layer can be run against ground truth instead of an estimate.
+Its slices integrate by adaptive quadrature, so the first functional
+evaluated on one loads ``scipy.integrate``; :class:`GaussianConditional`
+needs only ``math`` for its density and ``scipy.special`` for its CDF and
+quantile, which load on first use too.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _normal
+import scipy
 
 from .errors import (
     InvalidParameterError,
@@ -30,6 +34,7 @@ from .regression import ResponseSlice
 
 _PMF_SUM_TOL = 1e-12
 _TAIL_QUANTILE = 1e-13
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -159,14 +164,24 @@ class GaussianConditional:
     def scale(self, z: float) -> float:
         return self.scale_intercept + self.scale_slope * z
 
+    def _positive_scale(self, z: float) -> float:
+        s = self.scale(z)
+        if not s > 0.0:
+            raise InvalidParameterError(f"conditional scale must be positive, got {s} at z={z}")
+        return s
+
     def density(self, x: float, z: float) -> float:
-        return float(_normal.pdf(x, loc=self.mean(z), scale=self.scale(z)))
+        s = self._positive_scale(z)
+        u = (x - self.mean(z)) / s
+        return math.exp(-u * u / 2.0) / _SQRT_2PI / s
 
     def cdf(self, x: float, z: float) -> float:
-        return float(_normal.cdf(x, loc=self.mean(z), scale=self.scale(z)))
+        s = self._positive_scale(z)
+        return float(scipy.special.ndtr((x - self.mean(z)) / s))
 
     def quantile(self, alpha: float, z: float) -> float:
-        return float(_normal.ppf(alpha, loc=self.mean(z), scale=self.scale(z)))
+        s = self._positive_scale(z)
+        return float(self.mean(z) + s * scipy.special.ndtri(alpha))
 
     def sample(self, rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -189,11 +204,7 @@ class SyntheticMixedModel:
     def __post_init__(self):
         if self.continuous is not None:
             for z in self.margin.support:
-                if self.continuous.scale(float(z)) <= 0:
-                    raise InvalidParameterError(
-                        f"conditional scale must be positive, got "
-                        f"{self.continuous.scale(float(z))} at z={z}"
-                    )
+                self.continuous._positive_scale(float(z))
 
     @property
     def column_names(self) -> tuple[str, ...]:

@@ -5,14 +5,16 @@ explicit breakpoints (kink locations), since the densities handled here
 are only piecewise smooth and naive adaptivity converges slowly across
 kinks. It serves the analytic oracle's response slices and
 :func:`~jitterkit.noise.verify_membership`; KDE functionals integrate the
-kernel in closed form and never reach it.
+kernel in closed form and never reach it. ``scipy.integrate`` loads on
+the first call (``jitterkit verify``, or a functional over an oracle
+slice), not when this module is imported.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-import scipy.integrate
+import scipy
 
 from .errors import InvalidParameterError, NumericalError
 

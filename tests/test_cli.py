@@ -284,6 +284,18 @@ class TestBenchmarkCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_workers_flag_changes_nothing(self, model_config, tmp_path, capsys):
+        """Cells run in order; --workers is accepted and leaves CSV and
+        summary byte-identical."""
+        argv = ["benchmark", "--model-config", str(model_config), "--n-grid", "150,300",
+                "--seeds", "2", "--seed", "4", "--functionals", "kde_atom_mae,mean_abs_err"]
+        outputs = []
+        for workers in ("1", "4"):
+            out = tmp_path / f"bench-{workers}.csv"
+            assert main(argv + ["--workers", workers, "--output", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
     def test_unknown_functional_exit_1(self, model_config, tmp_path, capsys):
         code = main(["benchmark", "--model-config", str(model_config),
                      "--functionals", "mystery", "--output", str(tmp_path / "o.csv")])

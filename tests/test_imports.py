@@ -1,0 +1,86 @@
+"""Import hygiene: scipy submodules load on first use, not at import.
+
+Each check runs in a fresh interpreter, since the test process itself has
+long since imported scipy.stats and friends.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.special")
+
+# Runs the given CLI argv lists in order and prints, as JSON, the heavy
+# scipy submodules loaded after the import and after each command.
+_PROBE = f"""
+import json, sys
+heavy = {HEAVY!r}
+loaded = lambda: sorted(m for m in heavy if m in sys.modules)
+from jitterkit import cli
+report = {{"import": loaded(), "modules": len(sys.modules), "codes": [], "after": []}}
+for argv in json.loads(sys.argv[1]):
+    report["codes"].append(cli.main(argv))
+    report["after"].append(loaded())
+sys.stdout.write("\\n" + json.dumps(report))
+"""
+
+
+def _probe(*commands: list[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(list(commands))],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.rsplit("\n", 1)[-1])
+
+
+@pytest.fixture
+def data_csv(tmp_path):
+    rng = np.random.default_rng(3)
+    lines = ["z,x"] + [f"{rng.integers(0, 5)},{rng.normal():.6f}" for _ in range(80)]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_import_cli_is_lean():
+    report = _probe()
+    assert report["import"] == []
+    assert report["modules"] <= 300
+
+
+def test_fit_and_density_eval_skip_scipy_special(data_csv, tmp_path):
+    model = str(tmp_path / "kde.model")
+    loclin = str(tmp_path / "loclin.model")
+    schema = ["--discrete", "z", "--continuous", "x", "--jitters", "2"]
+    commands = [
+        ["jitter", "--input", str(data_csv), "--output", str(tmp_path / "j.csv"), *schema[:4]],
+        ["fit", "--input", str(data_csv), "--output", model, *schema],
+        ["fit", "--input", str(data_csv), "--output", loclin, "--estimator", "loclin",
+         "--response", "x", *schema],
+        ["eval", "--model", model, "--functional", "density", "--at", "z=2,x=0.1"],
+        ["eval", "--model", loclin, "--functional", "mean", "--at", "z=2"],
+    ]
+    report = _probe(*commands)
+    assert report["codes"] == [0] * len(commands)
+    assert report["after"] == [[]] * len(commands)
+
+
+def test_verify_is_what_loads_scipy_integrate():
+    argv = ["verify", "--theta", "0.4", "--nu", "2"]
+    report = _probe(argv)
+    assert report["codes"] == [0]
+    assert report["import"] == []
+    assert "scipy.integrate" in report["after"][0]
+    assert "scipy.stats" not in report["after"][0]
+
+
+def test_no_module_imports_scipy_stats():
+    sources = sorted((SRC / "jitterkit").glob("*.py"))
+    assert sources
+    for path in sources:
+        assert "scipy.stats" not in path.read_text(encoding="utf-8"), path.name
