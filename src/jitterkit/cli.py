@@ -263,8 +263,17 @@ def _parse_point(text) -> dict[str, float]:
         if "=" not in item:
             raise InvalidParameterError(f"bad covariate assignment {item!r}; use name=value")
         name, _, value = item.partition("=")
-        point[name.strip()] = float(value)
+        try:
+            point[name.strip()] = float(value)
+        except ValueError:
+            raise InvalidParameterError(f"covariate {item!r} needs a numeric value") from None
     return point
+
+
+def _column_index(names: list[str], name: str, flag: str) -> int:
+    if name not in names:
+        raise SchemaError(f"{flag} names unknown column {name!r}")
+    return names.index(name)
 
 
 def _write_rows(path, header: list[str], rows: list[list]) -> None:
@@ -335,8 +344,7 @@ def run_eval(args) -> int:
     at = _parse_point(_opt(args, cfg, "at"))
     names = [c.name for c in model.schema]
     for name in at:
-        if name not in names:
-            raise SchemaError(f"--at names unknown column {name!r}")
+        _column_index(names, name, "--at")
     at_text = ";".join(f"{k}={at[k]!r}" for k in sorted(at))
     header = ["kind", "target", "param", "at", "value", "denominator_mass"]
 
@@ -371,7 +379,7 @@ def run_eval(args) -> int:
         class_names = _split_names(_opt(args, cfg, "classes"))
         if not class_names:
             raise InvalidParameterError("class_probs needs --classes")
-        class_cols = tuple(names.index(n) for n in class_names)
+        class_cols = tuple(_column_index(names, n, "--classes") for n in class_names)
         query = FunctionalQuery(
             kind="class_probs", response_index=class_cols[0], response_kind="discrete",
             covariate_point=covariate_point, class_columns=class_cols,
@@ -385,7 +393,7 @@ def run_eval(args) -> int:
         _write_rows(args.output, header, rows)
         return EXIT_OK
 
-    r_index = names.index(str(response))
+    r_index = _column_index(names, str(response), "--response")
     r_kind = _response_kind_of(model, r_index)
     query = FunctionalQuery(
         kind=functional,

@@ -2,10 +2,14 @@
 
 Both estimators follow the same recipe: draw one or more jitter
 replicates of the dataset, smooth each replicate with a product kernel,
-and average the per-replicate results. Bandwidths live on the
-standardized scale (the transform is computed from the first jitter
-replicate), so evaluation uses the effective per-column bandwidth
-``b_j * scale_j`` on original units.
+and average the per-replicate results. One fit helper and one model base
+class hold that shared part. Bandwidths live on the standardized scale
+(the transform is computed from the first jitter replicate), so
+evaluation uses the effective per-column bandwidth ``b_j * scale_j`` on
+original units. Nothing here integrates numerically: the kernel's
+antiderivatives (:meth:`Kernel.cdf`, :meth:`Kernel.partial_moment`) give
+the KDE functionals in closed form, and :mod:`jitterkit.quadrature`
+serves only the analytic oracle and the noise checks.
 
 Every kernel sum goes through :meth:`Kernel.product_weights`, which
 builds the product-kernel weights one column at a time on 1-D column
@@ -139,33 +143,15 @@ def select_bandwidth(data) -> np.ndarray:
     return np.full(d, b)
 
 
-def _resolve_bandwidths(override, d: int) -> np.ndarray:
-    b = np.atleast_1d(np.asarray(override, dtype=float))
-    if b.size == 1:
-        b = np.full(d, float(b[0]))
-    if b.shape != (d,):
-        raise InvalidParameterError(f"bandwidth override must have {d} entries, got {b.shape}")
-    if np.any(b <= 0) or not np.all(np.isfinite(b)):
-        raise InvalidParameterError("bandwidths must be positive and finite")
-    return b
-
-
-def _reject_categorical(dataset: MixedDataset) -> None:
-    cat = dataset.indices_of_kind("categorical")
-    if cat:
-        names = [dataset.schema[j].name for j in cat]
-        raise SchemaError(
-            f"categorical columns {names} must be dummy-coded before fitting"
-        )
-
-
 @dataclass(frozen=True, eq=False)
-class KdeModel:
-    """Fitted jittered kernel density estimator.
+class _JitteredModel:
+    """What both jittered estimators hold: the kernel, the noise and seed
+    the replicates were drawn with, the jitter replicates averaged over,
+    and the standardization and bandwidths of the smoothed columns.
 
-    ``bandwidths`` are on the standardized scale, one per column;
-    ``replicates`` hold the jittered datasets the estimator averages
-    over. Models are immutable and safe for concurrent evaluation.
+    ``bandwidths`` are on the standardized scale, one finite positive
+    value per smoothed column (``len(transform.scales)`` of them). Models
+    are immutable and safe for concurrent evaluation.
     """
 
     kernel: Kernel
@@ -176,14 +162,19 @@ class KdeModel:
     replicates: tuple[JitteredDataset, ...] = field(repr=False)
 
     def __post_init__(self):
-        b = np.asarray(self.bandwidths, dtype=float)
-        if np.any(b <= 0):
-            raise InvalidParameterError("bandwidths must be positive")
-        b.setflags(write=False)
-        object.__setattr__(self, "bandwidths", b)
         object.__setattr__(self, "replicates", tuple(self.replicates))
         if not self.replicates:
             raise InvalidParameterError("model needs at least one jitter replicate")
+        b = np.asarray(self.bandwidths, dtype=float)
+        d = len(self.transform.scales)
+        if b.shape != (d,):
+            raise InvalidParameterError(
+                f"expected {d} bandwidths, one per smoothed column, got shape {b.shape}"
+            )
+        if not (np.all(b > 0) and np.all(np.isfinite(b))):
+            raise InvalidParameterError(f"bandwidths must be positive and finite, got {b.tolist()}")
+        b.setflags(write=False)
+        object.__setattr__(self, "bandwidths", b)
 
     @property
     def schema(self) -> tuple[ColumnSchema, ...]:
@@ -196,6 +187,43 @@ class KdeModel:
     @property
     def num_jitters(self) -> int:
         return len(self.replicates)
+
+
+def _jittered_fit(
+    dataset: MixedDataset, spec: NoiseSpec, kernel: Kernel, num_jitters: int, seed: int,
+    bandwidth, response_index: int | None = None,
+) -> dict:
+    """The fit steps both estimators share, returned as the base model's fields.
+
+    Draws ``num_jitters`` jitter replicates, then standardizes replicate
+    0's smoothed columns (every column but ``response_index``) and selects
+    their normal-reference bandwidths, unless ``bandwidth`` overrides them
+    (one value for all, or one per column; stored verbatim).
+    """
+    if num_jitters < 1:
+        raise InvalidParameterError(f"num_jitters must be >= 1, got {num_jitters}")
+    categorical = [c.name for c in dataset.schema if c.kind == "categorical"]
+    if categorical:
+        raise SchemaError(f"categorical columns {categorical} must be dummy-coded before fitting")
+    replicates = tuple(jitter(dataset, spec, seed, r) for r in range(num_jitters))
+    smoothed = [j for j in range(len(dataset.schema)) if j != response_index]
+    # a KDE standardizes the replicate's own rows: a fancy-indexed copy is
+    # not C-contiguous, and numpy would sum its columns in another order
+    rows = replicates[0].rows if response_index is None else replicates[0].rows[:, smoothed]
+    transform = Standardization.from_rows(rows, tuple(dataset.schema[j].name for j in smoothed))
+    if bandwidth is None:
+        bandwidths = select_bandwidth(rows)
+    else:
+        bandwidths = np.atleast_1d(np.asarray(bandwidth, dtype=float))
+        if bandwidths.size == 1:
+            bandwidths = np.full(len(smoothed), bandwidths.flat[0])
+    return dict(kernel=kernel, noise=spec, seed=int(seed), bandwidths=bandwidths,
+                transform=transform, replicates=replicates)
+
+
+@dataclass(frozen=True, eq=False)
+class KdeModel(_JitteredModel):
+    """Fitted jittered kernel density estimator; it smooths every column."""
 
     @property
     def effective_bandwidths(self) -> np.ndarray:
@@ -218,26 +246,9 @@ def fit_kde(
     normal-reference bandwidths unless ``bandwidth`` overrides them
     (stored verbatim). Deterministic given its inputs.
     """
-    if num_jitters < 1:
-        raise InvalidParameterError(f"num_jitters must be >= 1, got {num_jitters}")
     if dataset.n < 2:
         raise InsufficientDataError(f"fit_kde needs n >= 2 observations, got {dataset.n}")
-    _reject_categorical(dataset)
-    replicates = tuple(jitter(dataset, spec, seed, r) for r in range(num_jitters))
-    transform = Standardization.from_rows(replicates[0].rows, dataset.column_names)
-    d = dataset.rows.shape[1]
-    if bandwidth is None:
-        bandwidths = select_bandwidth(replicates[0])
-    else:
-        bandwidths = _resolve_bandwidths(bandwidth, d)
-    return KdeModel(
-        kernel=kernel,
-        noise=spec,
-        seed=int(seed),
-        bandwidths=bandwidths,
-        transform=transform,
-        replicates=replicates,
-    )
+    return KdeModel(**_jittered_fit(dataset, spec, kernel, num_jitters, seed, bandwidth))
 
 
 def _finite_point(point, d: int, what: str) -> np.ndarray:
@@ -271,48 +282,16 @@ def kde_eval(model: KdeModel, point) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class LocLinModel:
+class LocLinModel(_JitteredModel):
     """Fitted jittered local linear regression estimator.
 
-    The covariate block mirrors :class:`KdeModel` (jittered replicates,
-    standardization, per-covariate bandwidths); the response column is
-    kept on its original values unless it is discrete and response
-    jittering was requested at fit time.
+    It smooths the covariates, every column but ``response_index``. The
+    response column keeps its original values unless it is discrete and
+    response jittering was requested at fit time.
     """
 
     response_index: int
-    kernel: Kernel
-    noise: NoiseSpec
-    seed: int
-    bandwidths: np.ndarray
-    transform: Standardization
-    replicates: tuple[JitteredDataset, ...] = field(repr=False)
     jitter_response: bool = False
-
-    def __post_init__(self):
-        b = np.asarray(self.bandwidths, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "bandwidths", b)
-        object.__setattr__(self, "replicates", tuple(self.replicates))
-        if not self.replicates:
-            raise InvalidParameterError("model needs at least one jitter replicate")
-        d = len(self.schema) - 1
-        if b.shape != (d,):
-            raise InvalidParameterError(
-                f"expected {d} covariate bandwidths, got shape {b.shape}"
-            )
-
-    @property
-    def schema(self) -> tuple[ColumnSchema, ...]:
-        return self.replicates[0].schema
-
-    @property
-    def origin(self) -> MixedDataset:
-        return self.replicates[0].origin
-
-    @property
-    def num_jitters(self) -> int:
-        return len(self.replicates)
 
     @property
     def covariate_indices(self) -> tuple[int, ...]:
@@ -340,9 +319,6 @@ def fit_loclin(
     response stays on original values unless ``jitter_response`` is set
     and the response column is discrete. Deterministic given its inputs.
     """
-    if num_jitters < 1:
-        raise InvalidParameterError(f"num_jitters must be >= 1, got {num_jitters}")
-    _reject_categorical(dataset)
     ncol = len(dataset.schema)
     if not 0 <= response_index < ncol:
         raise SchemaError(f"response_index {response_index} out of range for {ncol} columns")
@@ -353,24 +329,11 @@ def fit_loclin(
         raise InsufficientDataError(
             f"local linear fit needs n >= d + 2 = {d + 2} rows, got {dataset.n}"
         )
-    response_kind = dataset.schema[response_index].kind
-    replicates = tuple(jitter(dataset, spec, seed, r) for r in range(num_jitters))
-    cov_idx = tuple(j for j in range(ncol) if j != response_index)
-    cov_names = tuple(dataset.schema[j].name for j in cov_idx)
-    transform = Standardization.from_rows(replicates[0].rows[:, cov_idx], cov_names)
-    if bandwidth is None:
-        bandwidths = select_bandwidth(replicates[0].rows[:, cov_idx])
-    else:
-        bandwidths = _resolve_bandwidths(bandwidth, d)
+    discrete_response = dataset.schema[response_index].kind == "discrete_ordered"
     return LocLinModel(
         response_index=int(response_index),
-        kernel=kernel,
-        noise=spec,
-        seed=int(seed),
-        bandwidths=bandwidths,
-        transform=transform,
-        replicates=replicates,
-        jitter_response=bool(jitter_response and response_kind == "discrete_ordered"),
+        jitter_response=bool(jitter_response and discrete_response),
+        **_jittered_fit(dataset, spec, kernel, num_jitters, seed, bandwidth, response_index),
     )
 
 
@@ -487,7 +450,11 @@ def save_model(model: KdeModel | LocLinModel, path) -> None:
 def load_model(path) -> KdeModel | LocLinModel:
     """Load a model written by :func:`save_model`."""
     with open(path, "rb") as fh:
-        payload = pickle.loads(fh.read())
+        data = fh.read()
+    try:
+        payload = pickle.loads(data)
+    except (pickle.UnpicklingError, EOFError):
+        payload = None  # not a pickle at all, or a truncated one
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise InvalidParameterError(f"{path}: not a jitterkit model artifact")
     if payload.get("version") != MODEL_VERSION:

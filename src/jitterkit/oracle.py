@@ -9,10 +9,12 @@ finite-difference probes for derivative checks.
 :class:`AnalyticJitteredDensity` exposes the exact jittered joint density
 through the same slicing interface fitted KDE models use, so the
 regression layer can be run against ground truth instead of an estimate.
-Its slices integrate by adaptive quadrature, so the first functional
-evaluated on one loads ``scipy.integrate``; :class:`GaussianConditional`
-needs only ``math`` for its density and ``scipy.special`` for its CDF and
-quantile, which load on first use too.
+Its slices bring their own integrals, by adaptive quadrature
+(:mod:`jitterkit.quadrature`): this module owns the only quadrature behind
+a conditional functional, so the first one evaluated on an oracle slice
+loads ``scipy.integrate``. :class:`GaussianConditional` needs only
+``math`` for its density and ``scipy.special`` for its CDF and quantile,
+which load on first use too.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .noise import NoiseSpec, eta_density
+from .quadrature import adaptive_integral
 from .regression import ResponseSlice
 
 _PMF_SUM_TOL = 1e-12
+_INTEGRAL_TOL = 1e-10
 _TAIL_QUANTILE = 1e-13
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -132,6 +136,25 @@ def convolve_density(pmf: DiscretePmf, spec: NoiseSpec, z: float) -> float:
     """
     support = range(pmf.support_min, pmf.support_max + 1)  # ints: numpy scalars are slow here
     return _eta_mixture(spec, zip(support, pmf.probabilities), float(z))
+
+
+def _quadrature_slice(
+    density: Callable[[float], float], lower: float, upper: float,
+    response_min: float, response_max: float, breakpoints: tuple[float, ...] = (),
+) -> ResponseSlice:
+    """Response slice whose ``integral`` and ``first_moment`` integrate
+    ``density`` by adaptive quadrature, split at the kinks in ``breakpoints``."""
+    return ResponseSlice(
+        density=density,
+        lower=lower,
+        upper=upper,
+        integral=lambda a, b: adaptive_integral(
+            density, a, b, tol=_INTEGRAL_TOL, breakpoints=breakpoints),
+        first_moment=lambda a, b: adaptive_integral(
+            lambda s: s * density(s), a, b, tol=_INTEGRAL_TOL, breakpoints=breakpoints),
+        response_min=response_min,
+        response_max=response_max,
+    )
 
 
 def finite_difference(f: Callable[[float], float], x: float, order: int, h: float) -> float:
@@ -392,13 +415,13 @@ class AnalyticJitteredDensity:
             breaks = []
             for k in pmf.support:
                 breaks.extend((k - g2, k - g1, k + g1, k + g2))
-            return ResponseSlice(
-                density=lambda s: _eta_mixture(spec, weights, s),
+            return _quadrature_slice(
+                lambda s: _eta_mixture(spec, weights, s),
                 lower=float(pmf.support_min) - 1.0,
                 upper=float(pmf.support_max) + 1.0,
-                breakpoints=tuple(float(b) for b in breaks),
                 response_min=float(pmf.support_min),
                 response_max=float(pmf.support_max),
+                breakpoints=tuple(float(b) for b in breaks),
             )
 
         if cont is None:
@@ -417,11 +440,4 @@ class AnalyticJitteredDensity:
 
         lo = min(cont.quantile(_TAIL_QUANTILE, float(k)) for k in pmf.support)
         hi = max(cont.quantile(1.0 - _TAIL_QUANTILE, float(k)) for k in pmf.support)
-        return ResponseSlice(
-            density=density,
-            lower=lo,
-            upper=hi,
-            breakpoints=(),
-            response_min=lo,
-            response_max=hi,
-        )
+        return _quadrature_slice(density, lower=lo, upper=hi, response_min=lo, response_max=hi)

@@ -3,11 +3,12 @@
 Thin wrapper around Gauss-Kronrod adaptive integration that accepts
 explicit breakpoints (kink locations), since the densities handled here
 are only piecewise smooth and naive adaptivity converges slowly across
-kinks. It serves the analytic oracle's response slices and
-:func:`~jitterkit.noise.verify_membership`; KDE functionals integrate the
-kernel in closed form and never reach it. ``scipy.integrate`` loads on
-the first call (``jitterkit verify``, or a functional over an oracle
-slice), not when this module is imported.
+kinks. Two callers use it: :mod:`jitterkit.oracle`, whose response
+slices integrate by it, and :func:`~jitterkit.noise.verify_membership`.
+:mod:`jitterkit.regression` does not import it: every slice brings its
+own integrals, and a KDE's are closed-form kernel sums.
+``scipy.integrate`` loads on the first call (``jitterkit verify``, or a
+functional over an oracle slice), not when this module is imported.
 """
 
 from __future__ import annotations

@@ -16,11 +16,13 @@ point) and integrates it:
 The density source is either a fitted :class:`~jitterkit.estimators.KdeModel`
 or any object exposing ``response_slice`` (the analytic jittered densities
 in :mod:`jitterkit.oracle` do, which is how the identities are verified
-against exact ground truth). Along the response axis a KDE is a weighted
-sum of shifted kernels, so its integrals are exact sums of the kernel's
-antiderivatives (:meth:`~jitterkit.estimators.Kernel.cdf` and
-:meth:`~jitterkit.estimators.Kernel.partial_moment`); only slices without
-a closed form, such as the oracle's, fall back to adaptive quadrature.
+against exact ground truth). Every slice brings its own ``integral`` and
+``first_moment``, so this module never integrates numerically. Along the
+response axis a KDE is a weighted sum of shifted kernels, so its
+integrals are exact sums of the kernel's antiderivatives
+(:meth:`~jitterkit.estimators.Kernel.cdf` and
+:meth:`~jitterkit.estimators.Kernel.partial_moment`); the oracle's slices
+integrate numerically, and :mod:`jitterkit.oracle` owns that.
 
 Covariates are addressed by column index. Columns absent from
 ``covariate_point`` are marginalized out; for product kernels this is
@@ -37,10 +39,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, NoLocalDataError, QuantileSearchError, SchemaError
 from .estimators import KdeModel
-from .quadrature import adaptive_integral
 
 _MIN_DENOMINATOR = 1e-12
-_INTEGRAL_TOL = 1e-10
 _BISECT_TOL = 1e-8
 _CDF_SLACK = 1e-9
 _QUANTILE_MARGIN = 2  # integers searched beyond the observed response range
@@ -114,33 +114,20 @@ class ResponseSlice:
 
     ``density`` evaluates the joint density with all conditioned
     covariates held at the query point; ``lower``/``upper`` bound the
-    region holding all of its mass, ``breakpoints`` list the kink
-    locations for quadrature, and ``response_min``/``response_max`` span
-    the observed (or supported) response values.
+    region holding all of its mass, and ``response_min``/``response_max``
+    span the observed (or supported) response values.
 
     ``integral(a, b)`` and ``first_moment(a, b)`` return ``int_a^b f`` and
-    ``int_a^b s f(s) ds``. A slice that knows them in closed form passes
-    them in; otherwise they default to adaptive quadrature of ``density``
-    over ``breakpoints``.
+    ``int_a^b s f(s) ds``; the slice's source supplies both.
     """
 
     density: Callable[[float], float]
     lower: float
     upper: float
-    breakpoints: tuple[float, ...] = ()
+    integral: Callable[[float, float], float]
+    first_moment: Callable[[float, float], float]
     response_min: float = field(default=math.nan)
     response_max: float = field(default=math.nan)
-    integral: Callable[[float, float], float] | None = None
-    first_moment: Callable[[float, float], float] | None = None
-
-    def __post_init__(self):
-        if self.integral is None:
-            object.__setattr__(self, "integral", lambda a, b: adaptive_integral(
-                self.density, a, b, tol=_INTEGRAL_TOL, breakpoints=self.breakpoints))
-        if self.first_moment is None:
-            object.__setattr__(self, "first_moment", lambda a, b: adaptive_integral(
-                lambda s: s * self.density(s), a, b,
-                tol=_INTEGRAL_TOL, breakpoints=self.breakpoints))
 
 
 def _kde_response_slice(

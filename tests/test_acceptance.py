@@ -123,10 +123,9 @@ def test_criterion_4_functional_identity_suite():
         # correction decomposition in the uniform-noise case: 0.35 + 0.35
         spec0 = NoiseSpec(theta=0.0, nu=1, dims=1)
         sl = AnalyticJitteredDensity.from_pmf(bern, spec0).response_slice(0, {})
-        denom = adaptive_integral(sl.density, sl.lower, sl.upper, tol=1e-12,
-                                  breakpoints=sl.breakpoints)
-        partial = adaptive_integral(sl.density, sl.lower, 0.0, tol=1e-12,
-                                    breakpoints=sl.breakpoints)
+        kinks = (-0.5, 0.5, 1.5)  # k +- 1/2 for k in {0, 1}: uniform noise
+        denom = adaptive_integral(sl.density, sl.lower, sl.upper, tol=1e-12, breakpoints=kinks)
+        partial = adaptive_integral(sl.density, sl.lower, 0.0, tol=1e-12, breakpoints=kinks)
         assert abs(partial / denom - 0.35) <= 1e-8
         assert abs(sl.density(0.0) / (2 * denom) - 0.35) <= 1e-8
 

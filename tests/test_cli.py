@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -183,6 +185,66 @@ class TestFitEvalCommands:
         assert code == 1
         assert captured.out == ""
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("query", [
+        ["--functional", "mean", "--response", "nosuch"],
+        ["--functional", "quantile", "--response", "nosuch", "--alpha", "0.5"],
+        ["--functional", "class_probs", "--classes", "z,nosuch"],
+    ])
+    def test_unknown_column_name_exit_2(self, data_csv, tmp_path, capsys, query):
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(data_csv), "--output", str(model),
+                     *SCHEMA_FLAGS]) == 0
+        code = main(["eval", "--model", str(model), *query])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unknown column 'nosuch'" in captured.err
+
+    @pytest.mark.parametrize("at", ["z=abc,x=0", "x="])
+    def test_non_numeric_point_exit_1(self, data_csv, tmp_path, capsys, at):
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(data_csv), "--output", str(model),
+                     *SCHEMA_FLAGS]) == 0
+        code = main(["eval", "--model", str(model), "--functional", "density", "--at", at])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "numeric" in captured.err
+
+    def test_non_numeric_dummy_level_exit_1(self, tmp_path, capsys):
+        # a dummy-coded column takes 0/1 values, not the level's name
+        path = tmp_path / "c.csv"
+        path.write_text("c,x\na,0.1\nb,0.7\na,-0.4\nb,1.2\na,0.3\n", encoding="utf-8")
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(path), "--output", str(model),
+                     "--categorical", "c", "--continuous", "x"]) == 0
+        code = main(["eval", "--model", str(model), "--functional", "class_probs",
+                     "--classes", "c=a,c=b", "--at", "c=a"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "numeric" in captured.err
+
+    @pytest.mark.parametrize("damage", ["csv", "truncated", "nan_bandwidth", "short_bandwidths"])
+    def test_malformed_artifact_exit_1(self, data_csv, tmp_path, capsys, damage):
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(data_csv), "--output", str(model),
+                     *SCHEMA_FLAGS]) == 0
+        if damage == "csv":
+            model.write_bytes(data_csv.read_bytes())
+        elif damage == "truncated":
+            model.write_bytes(model.read_bytes()[:300])
+        else:
+            payload = pickle.loads(model.read_bytes())
+            payload["bandwidths"] = (np.array([math.nan, 0.5]) if damage == "nan_bandwidth"
+                                     else np.array([0.5]))
+            model.write_bytes(pickle.dumps(payload, protocol=4))
+        code = main(["eval", "--model", str(model), "--functional", "density",
+                     "--at", "z=2,x=0.0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "usage error" in captured.err
 
 
 class TestConfigPrecedence:

@@ -15,6 +15,7 @@ from jitterkit import (
     InvalidParameterError,
     JitteredDataset,
     KdeModel,
+    LocLinModel,
     MixedDataset,
     NoLocalDataError,
     NoiseSpec,
@@ -485,10 +486,91 @@ class TestSerialization:
         save_model(fit_kde(ds, SPEC, num_jitters=3, seed=7), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_reject_foreign_file(self, tmp_path):
+    def test_reject_foreign_file(self, tmp_path, binom43):
         path = tmp_path / "junk.bin"
         import pickle
 
-        path.write_bytes(pickle.dumps({"format": "something-else"}))
-        with pytest.raises(InvalidParameterError):
-            load_model(path)
+        artifact = tmp_path / "m.bin"
+        save_model(fit_kde(discrete_dataset(binom43, 50, seed=7), SPEC, seed=7), artifact)
+        for content in (
+            pickle.dumps({"format": "something-else"}),
+            b"z,x\n1,0.5\n2,-0.3\n",  # a CSV passed as a model
+            artifact.read_bytes()[:200],  # a truncated artifact
+        ):
+            path.write_bytes(content)
+            with pytest.raises(InvalidParameterError, match="not a jitterkit model artifact"):
+                load_model(path)
+
+
+def _hand_models(kde_bandwidths, loclin_bandwidths):
+    """A 3-column KDE and a 2-column local linear model (response 0), built
+    by hand with identity transforms and the given bandwidths."""
+    rows = np.random.default_rng(5).normal(size=(20, 3))
+    origin = MixedDataset(tuple(ColumnSchema(f"c{j}", "continuous") for j in range(3)), rows)
+    rep = JitteredDataset(origin=origin, noise=NO_DISCRETE, seed=0, replicate_index=0,
+                          rows=rows)
+    kde = KdeModel(kernel=get_kernel("gaussian"), noise=NO_DISCRETE, seed=0,
+                   bandwidths=kde_bandwidths,
+                   transform=Standardization(means=np.zeros(3), scales=np.ones(3)),
+                   replicates=(rep,))
+    origin2 = MixedDataset(origin.schema[:2], rows[:, :2])
+    rep2 = JitteredDataset(origin=origin2, noise=NO_DISCRETE, seed=0, replicate_index=0,
+                           rows=rows[:, :2])
+    loclin = LocLinModel(kernel=get_kernel("gaussian"), noise=NO_DISCRETE, seed=0,
+                         bandwidths=loclin_bandwidths,
+                         transform=Standardization(means=np.zeros(1), scales=np.ones(1)),
+                         replicates=(rep2,), response_index=0)
+    return kde, loclin
+
+
+class TestModelCore:
+    """Both estimators share one model base (bandwidth checks) and one fit
+    path (replicates, standardization, bandwidth selection)."""
+
+    def test_valid_hand_models(self):
+        kde, loclin = _hand_models([0.5, 0.5, 0.5], [0.5])
+        assert math.isfinite(kde_eval(kde, [0.0, 0.0, 0.0]))
+        assert math.isfinite(loclin_eval(loclin, [0.0]))
+        assert not kde.bandwidths.flags.writeable
+
+    @pytest.mark.parametrize("bandwidths", [
+        [math.nan, 0.5, 0.5], [math.inf, 0.5, 0.5], [0.5], [0.5, 0.5, 0.5, 0.5],
+    ])
+    def test_kde_rejects_bad_bandwidths(self, bandwidths):
+        with pytest.raises(InvalidParameterError, match="bandwidths"):
+            _hand_models(np.array(bandwidths), [0.5])
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.5, math.nan])
+    def test_loclin_rejects_bad_bandwidths(self, bandwidth):
+        with pytest.raises(InvalidParameterError, match="bandwidths"):
+            _hand_models([0.5, 0.5, 0.5], np.array([bandwidth]))
+
+    @pytest.mark.parametrize("bandwidth", [[0.5, math.nan], [0.5, 0.5, 0.5], -1.0])
+    def test_fit_overrides_checked_by_model(self, bandwidth):
+        ds = _continuous_dataset()
+        with pytest.raises(InvalidParameterError, match="bandwidths"):
+            fit_kde(ds, NO_DISCRETE, bandwidth=bandwidth)
+        with pytest.raises(InvalidParameterError, match="bandwidths"):
+            fit_loclin(ds, 0, NO_DISCRETE, bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_fit_kde_standardizes_replicate_zero_rows(self, kernel_name):
+        # the fit must standardize replicate 0's own rows: a column-selected
+        # copy of them changes the means and scales in the last bit
+        ds = _mixed_dataset(1, 300, seed=40)
+        model = fit_kde(ds, NoiseSpec(0.8, 5, dims=1), kernel=get_kernel(kernel_name),
+                        num_jitters=2, seed=41)
+        rows = model.replicates[0].rows
+        expected = Standardization.from_rows(rows)
+        assert model.transform.means.tolist() == expected.means.tolist()
+        assert model.transform.scales.tolist() == expected.scales.tolist()
+        assert model.bandwidths.tolist() == select_bandwidth(rows).tolist()
+
+    def test_fit_loclin_standardizes_replicate_zero_covariates(self):
+        ds = _mixed_dataset(1, 300, seed=42)
+        model = fit_loclin(ds, 2, NoiseSpec(0.8, 5, dims=1), num_jitters=2, seed=43)
+        cov = model.replicates[0].rows[:, [0, 1]]
+        expected = Standardization.from_rows(cov)
+        assert model.transform.means.tolist() == expected.means.tolist()
+        assert model.transform.scales.tolist() == expected.scales.tolist()
+        assert model.bandwidths.tolist() == select_bandwidth(cov).tolist()

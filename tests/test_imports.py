@@ -70,6 +70,24 @@ def test_fit_and_density_eval_skip_scipy_special(data_csv, tmp_path):
     assert report["after"] == [[]] * len(commands)
 
 
+def test_kde_functional_eval_skips_scipy_integrate(data_csv, tmp_path):
+    model = str(tmp_path / "kde.model")
+    commands = [
+        ["fit", "--input", str(data_csv), "--output", model, "--discrete", "z",
+         "--continuous", "x"],
+        ["eval", "--model", model, "--functional", "mean", "--response", "z", "--at", "x=0.1"],
+    ]
+    report = _probe(*commands)
+    assert report["codes"] == [0, 0]
+    assert "scipy.integrate" not in report["after"][1]
+
+
+def test_regression_never_integrates_numerically():
+    text = (SRC / "jitterkit" / "regression.py").read_text(encoding="utf-8")
+    assert "quadrature" not in text
+    assert "adaptive_integral" not in text
+
+
 def test_verify_is_what_loads_scipy_integrate():
     argv = ["verify", "--theta", "0.4", "--nu", "2"]
     report = _probe(argv)

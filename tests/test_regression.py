@@ -26,6 +26,7 @@ from jitterkit import (
     ResponseSlice,
     Standardization,
     SyntheticMixedModel,
+    adaptive_integral,
     classify,
     cond_cdf,
     cond_mean,
@@ -101,12 +102,9 @@ class TestAnalyticIdentities:
         spec = NoiseSpec(theta=0.0, nu=1, dims=1)
         dens = AnalyticJitteredDensity.from_pmf(pmf, spec)
         sl = dens.response_slice(0, {})
-        from jitterkit import adaptive_integral
-
-        denom = adaptive_integral(sl.density, sl.lower, sl.upper, tol=1e-12,
-                                  breakpoints=sl.breakpoints)
-        partial = adaptive_integral(sl.density, sl.lower, 0.0, tol=1e-12,
-                                    breakpoints=sl.breakpoints)
+        kinks = (-0.5, 0.5, 1.5)  # k +- 1/2 for k in {0, 1}: uniform noise
+        denom = adaptive_integral(sl.density, sl.lower, sl.upper, tol=1e-12, breakpoints=kinks)
+        partial = adaptive_integral(sl.density, sl.lower, 0.0, tol=1e-12, breakpoints=kinks)
         correction = sl.density(0.0) / (2.0 * denom)
         assert partial / denom == pytest.approx(0.35, abs=1e-10)
         assert correction == pytest.approx(0.35, abs=1e-10)
@@ -413,9 +411,15 @@ class _QuadratureSource:
             g1, g2 = self.model.noise.gamma1, self.model.noise.gamma2
             breaks = [k + g for k in range(math.floor(sl.lower), math.ceil(sl.upper) + 1)
                       for g in (-g2, -g1, g1, g2)]
-        return ResponseSlice(density=sl.density, lower=sl.lower, upper=sl.upper,
-                             breakpoints=tuple(breaks), response_min=sl.response_min,
-                             response_max=sl.response_max)
+        breaks, density = tuple(breaks), sl.density
+        return ResponseSlice(
+            density=density, lower=sl.lower, upper=sl.upper,
+            integral=lambda a, b: adaptive_integral(
+                density, a, b, tol=1e-10, breakpoints=breaks),
+            first_moment=lambda a, b: adaptive_integral(
+                lambda s: s * density(s), a, b, tol=1e-10, breakpoints=breaks),
+            response_min=sl.response_min, response_max=sl.response_max,
+        )
 
 
 def _battery_queries(response_index, point):
@@ -458,10 +462,6 @@ class TestClosedFormMatchesQuadrature:
         for a, b in [(sl.lower, sl.upper), (-0.4, 0.9), (1.0, 1.0), (sl.lower, -2.0)]:
             assert sl.integral(a, b) == pytest.approx(ref.integral(a, b), abs=1e-10)
             assert sl.first_moment(a, b) == pytest.approx(ref.first_moment(a, b), abs=1e-10)
-
-    def test_kde_slice_has_no_breakpoints(self):
-        sl = response_slice(_zx_kde("gaussian", 50, seed=72), 0, {})
-        assert sl.breakpoints == ()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
