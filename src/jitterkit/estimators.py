@@ -149,9 +149,10 @@ class _JitteredModel:
     the replicates were drawn with, the jitter replicates averaged over,
     and the standardization and bandwidths of the smoothed columns.
 
+    ``transform`` covers the smoothed columns (``smoothed_indices``), and
     ``bandwidths`` are on the standardized scale, one finite positive
-    value per smoothed column (``len(transform.scales)`` of them). Models
-    are immutable and safe for concurrent evaluation.
+    value per smoothed column. Models are immutable and safe for
+    concurrent evaluation.
     """
 
     kernel: Kernel
@@ -165,8 +166,13 @@ class _JitteredModel:
         object.__setattr__(self, "replicates", tuple(self.replicates))
         if not self.replicates:
             raise InvalidParameterError("model needs at least one jitter replicate")
+        d = len(self.smoothed_indices)
+        if len(self.transform.scales) != d:
+            raise InvalidParameterError(
+                f"transform covers {len(self.transform.scales)} columns, "
+                f"but the model smooths {d}"
+            )
         b = np.asarray(self.bandwidths, dtype=float)
-        d = len(self.transform.scales)
         if b.shape != (d,):
             raise InvalidParameterError(
                 f"expected {d} bandwidths, one per smoothed column, got shape {b.shape}"
@@ -179,6 +185,11 @@ class _JitteredModel:
     @property
     def schema(self) -> tuple[ColumnSchema, ...]:
         return self.replicates[0].schema
+
+    @property
+    def smoothed_indices(self) -> tuple[int, ...]:
+        """The columns the kernel smooths: all of them, unless a subclass says."""
+        return tuple(range(len(self.schema)))
 
     @property
     def origin(self) -> MixedDataset:
@@ -296,6 +307,8 @@ class LocLinModel(_JitteredModel):
     @property
     def covariate_indices(self) -> tuple[int, ...]:
         return tuple(j for j in range(len(self.schema)) if j != self.response_index)
+
+    smoothed_indices = covariate_indices
 
     def response_values(self, replicate: JitteredDataset) -> np.ndarray:
         if self.jitter_response:
@@ -447,6 +460,12 @@ def save_model(model: KdeModel | LocLinModel, path) -> None:
         fh.write(pickle.dumps(payload, protocol=4))
 
 
+# the fields save_model writes besides format and version; loclin models add two
+_PAYLOAD_FIELDS = ("type", "kernel", "noise", "seed", "bandwidths", "transform", "schema",
+                   "origin_rows", "replicates")
+_LOCLIN_FIELDS = ("response_index", "jitter_response")
+
+
 def load_model(path) -> KdeModel | LocLinModel:
     """Load a model written by :func:`save_model`."""
     with open(path, "rb") as fh:
@@ -461,6 +480,10 @@ def load_model(path) -> KdeModel | LocLinModel:
         raise InvalidParameterError(
             f"{path}: unsupported model version {payload.get('version')}"
         )
+    fields = _PAYLOAD_FIELDS + (_LOCLIN_FIELDS if payload.get("type") == "loclin" else ())
+    missing = [name for name in fields if name not in payload]
+    if missing:
+        raise InvalidParameterError(f"{path}: model artifact lacks {', '.join(missing)}")
     schema = _schema_from_payload(payload["schema"])
     origin = MixedDataset(schema=schema, rows=payload["origin_rows"])
     theta, nu, dims = payload["noise"]

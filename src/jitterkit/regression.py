@@ -160,7 +160,7 @@ def _kde_response_slice(
     r_max = float(observed.max())
     pad = _WINDOW_BANDWIDTHS * float(h.max()) + 1.0
     lower = r_min - pad
-    # most integrals start at the window floor (every bisection step of a
+    # most integrals start at the window floor (every search pass of a
     # continuous quantile does), so its kernel CDF is computed once
     floor_cdf = kernel.cdf((lower - resp) / h_resp)
 
@@ -281,33 +281,66 @@ def _discrete_quantile(sl: ResponseSlice, denom: float, alpha: float) -> float:
     )
 
 
+def _bisections(width: float) -> int:
+    """Bisection passes that narrow a bracket of ``width`` to ``_BISECT_TOL``."""
+    return max(0, math.ceil(math.log2(width / _BISECT_TOL)))
+
+
 def _continuous_quantile(sl: ResponseSlice, denom: float, alpha: float) -> float:
+    # Newton on cdf - alpha, whose derivative is density / denom, kept in a
+    # bracket cdf(lo) < alpha <= cdf(hi) and falling back to bisection
+    # (rtsafe, Numerical Recipes 9.4). The window floor holds no mass and
+    # the top all of it (its integral is the denominator's own), so
+    # [lower, upper] brackets every alpha in (0, 1].
     if alpha <= 0.0:
         return sl.lower
-    top = _corrected_cdf(sl, denom, sl.upper, discrete=False)
-    if top < alpha - _CDF_SLACK:
-        raise QuantileSearchError(
-            f"level {alpha} unreachable on [{sl.lower}, {sl.upper}] "
-            f"(attained supremum {top})",
-            attained=top,
-        )
-    lo_t, hi_t = sl.lower, sl.upper
-    while hi_t - lo_t > _BISECT_TOL:
-        mid = 0.5 * (lo_t + hi_t)
-        if _corrected_cdf(sl, denom, mid, discrete=False) >= alpha:
-            hi_t = mid
+    lo, hi = sl.lower, sl.upper
+    # twice what bisection alone takes; Newton is tried only while bisection
+    # could still close the bracket within it, and the loop stops there even
+    # where floats are too coarse to narrow it to 1e-8 (|t| above ~6.7e7)
+    budget = 2 * _bisections(hi - lo)
+    t = 0.5 * (lo + hi)
+    last = before_last = hi - lo
+    after_short = False  # the last pass took a short step past the root
+    for done in range(1, budget + 1):
+        f = _corrected_cdf(sl, denom, t, discrete=False) - alpha
+        if f >= 0.0:
+            hi = t
         else:
-            lo_t = mid
-    return hi_t
+            lo = t
+        if hi - lo <= _BISECT_TOL:
+            break
+        nxt, short = 0.5 * (lo + hi), False
+        if done + 1 + _bisections(hi - lo) <= budget:
+            slope = sl.density(t) / denom
+            newton = f / slope if slope > 0.0 else math.inf
+            short = abs(newton) < 0.5 * _BISECT_TOL
+            # a short step lands just past the root, so the far side closes
+            step = newton + math.copysign(0.5 * _BISECT_TOL, f) if short else newton
+            # Newton must stay inside the bracket and shrink to at most half
+            # the step before last; a short step that missed means the slope
+            # is no guide, so no second one follows
+            if lo < t - step < hi and abs(newton) <= 0.5 * before_last and not (
+                    short and after_short):
+                nxt = t - step
+            else:
+                short = False
+        before_last, last, after_short = last, abs(nxt - t), short
+        t = nxt
+    return hi
 
 
 def cond_quantile(model, query: FunctionalQuery) -> ConditionalEstimate:
     """Conditional quantile: smallest response value whose CDF reaches alpha.
 
     Discrete responses scan the integers spanning the observed range
-    (expanded by two on each side) against the corrected CDF; continuous
-    responses bisect the monotone CDF estimate to 1e-8 in the response
-    coordinate.
+    (expanded by two on each side) against the corrected CDF. Continuous
+    responses run a bracketed Newton search on the CDF estimate, whose
+    derivative is the slice density, falling back to bisection where a
+    Newton step leaves the bracket or shrinks too slowly. It returns the
+    bracket's upper end once the bracket is 1e-8 wide, as bisection
+    would: a value whose CDF reaches alpha, within 1e-8 of where it first
+    does.
     """
     if query.kind != "quantile":
         raise InvalidParameterError(f"cond_quantile got a {query.kind!r} query")

@@ -225,7 +225,8 @@ class TestFitEvalCommands:
         assert code == 1
         assert "numeric" in captured.err
 
-    @pytest.mark.parametrize("damage", ["csv", "truncated", "nan_bandwidth", "short_bandwidths"])
+    @pytest.mark.parametrize("damage", ["csv", "truncated", "nan_bandwidth", "short_bandwidths",
+                                        "short_transform", "missing_field"])
     def test_malformed_artifact_exit_1(self, data_csv, tmp_path, capsys, damage):
         model = tmp_path / "m.bin"
         assert main(["fit", "--input", str(data_csv), "--output", str(model),
@@ -236,8 +237,16 @@ class TestFitEvalCommands:
             model.write_bytes(model.read_bytes()[:300])
         else:
             payload = pickle.loads(model.read_bytes())
-            payload["bandwidths"] = (np.array([math.nan, 0.5]) if damage == "nan_bandwidth"
-                                     else np.array([0.5]))
+            if damage == "nan_bandwidth":
+                payload["bandwidths"] = np.array([math.nan, 0.5])
+            elif damage == "short_bandwidths":
+                payload["bandwidths"] = np.array([0.5])
+            elif damage == "short_transform":
+                # transform and bandwidths cut short together still agree
+                payload["bandwidths"] = payload["bandwidths"][:1]
+                payload["transform"] = tuple(a[:1] for a in payload["transform"])
+            else:
+                del payload["schema"]
             model.write_bytes(pickle.dumps(payload, protocol=4))
         code = main(["eval", "--model", str(model), "--functional", "density",
                      "--at", "z=2,x=0.0"])
@@ -245,6 +254,9 @@ class TestFitEvalCommands:
         assert code == 1
         assert captured.out == ""
         assert "usage error" in captured.err
+        assert "Traceback" not in captured.err
+        if damage == "missing_field":
+            assert "schema" in captured.err
 
 
 class TestConfigPrecedence:

@@ -545,6 +545,17 @@ class TestModelCore:
         with pytest.raises(InvalidParameterError, match="bandwidths"):
             _hand_models([0.5, 0.5, 0.5], np.array([bandwidth]))
 
+    def test_transform_must_cover_smoothed_columns(self):
+        # a KDE smooths every column, a local linear model every covariate;
+        # transform and bandwidths cut short together must not load
+        kde, loclin = _hand_models([0.5, 0.5, 0.5], [0.5])
+        with pytest.raises(InvalidParameterError, match="smooths 3"):
+            dataclasses.replace(kde, bandwidths=[0.5],
+                                transform=Standardization(np.zeros(1), np.ones(1)))
+        with pytest.raises(InvalidParameterError, match="smooths 1"):
+            dataclasses.replace(loclin, bandwidths=[0.5, 0.5],
+                                transform=Standardization(np.zeros(2), np.ones(2)))
+
     @pytest.mark.parametrize("bandwidth", [[0.5, math.nan], [0.5, 0.5, 0.5], -1.0])
     def test_fit_overrides_checked_by_model(self, bandwidth):
         ds = _continuous_dataset()

@@ -505,27 +505,98 @@ def _recomputing_quantile(model, point, alpha):
     return hi
 
 
+def _continuous_cdf(model, point, t):
+    return cond_cdf(model, FunctionalQuery("cdf", 1, "continuous", point, threshold=t)).value
+
+
+def _kernel_cdf_bound(model, point):
+    """Most Kernel.cdf calls a continuous quantile of column 1 may make:
+    two per bisection step over the window, the floor and the denominator."""
+    sl = response_slice(model, 1, point)
+    return 2 * math.ceil(math.log2((sl.upper - sl.lower) / 1e-8)) + 4
+
+
+def _counting_kernel_cdf(monkeypatch):
+    calls = []
+    cdf = Kernel.cdf
+    monkeypatch.setattr(Kernel, "cdf", lambda self, u: calls.append(1) or cdf(self, u))
+    return calls
+
+
 class TestContinuousQuantileWork:
-    """The kernel CDF at the window floor is computed once per slice, not
-    once per bisection step, and the quantiles do not change."""
+    """The bracketed Newton search lands within 1e-8 of the bisection it
+    replaced, keeps the bracket contract, and needs few kernel CDF passes."""
 
     @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
     @pytest.mark.parametrize("point", [{}, {0: 1.0}], ids=["x", "x|z"])
     def test_identical_to_recomputing_bisection(self, kernel_name, point):
+        # both searches return a point of [r, r + 1e-8] around the CDF's
+        # crossing r, so they agree to 1e-8, not to the last digit
         model = _zx_kde(kernel_name, 200, seed=73)
-        for alpha in (0.05, 0.5, 0.93):
+        for alpha in (1e-4, 0.05, 0.5, 0.93, 0.9999, 1.0):
             q = FunctionalQuery("quantile", 1, "continuous", point, alpha=alpha)
-            assert cond_quantile(model, q).value == _recomputing_quantile(model, point, alpha)
+            value = cond_quantile(model, q).value
+            assert abs(value - _recomputing_quantile(model, point, alpha)) <= 1e-8, alpha
+            assert _continuous_cdf(model, point, value) >= alpha
+            assert _continuous_cdf(model, point, value - 1e-8) < alpha
 
     def test_kernel_cdf_calls(self, monkeypatch):
+        # one call for the window floor, one for the denominator, the rest
+        # one per search pass; bisection made 34
         model = _zx_kde("gaussian", 200, seed=74)
-        sl = response_slice(model, 1, {0: 1.0})
-        steps = math.ceil(math.log2((sl.upper - sl.lower) / 1e-8))
-        calls = []
-        cdf = Kernel.cdf
-        monkeypatch.setattr(Kernel, "cdf", lambda self, u: calls.append(1) or cdf(self, u))
+        calls = _counting_kernel_cdf(monkeypatch)
         cond_quantile(model, FunctionalQuery("quantile", 1, "continuous", {0: 1.0}, alpha=0.4))
-        assert len(calls) <= steps + 4
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_alpha_one_ends_within_bound(self, kernel_name, monkeypatch):
+        # at alpha = 1 the crossing is where the CDF first rounds to 1.0 and
+        # the slope there is about 0, so Newton alone would creep
+        model = _zx_kde(kernel_name, 200, seed=75)
+        bound = _kernel_cdf_bound(model, {0: 1.0})
+        calls = _counting_kernel_cdf(monkeypatch)
+        q = cond_quantile(model, FunctionalQuery("quantile", 1, "continuous", {0: 1.0},
+                                                 alpha=1.0)).value
+        assert len(calls) <= bound
+        monkeypatch.undo()
+        assert _continuous_cdf(model, {0: 1.0}, q) == 1.0
+        assert _continuous_cdf(model, {0: 1.0}, q - 1e-8) < 1.0
+
+    def test_coarse_floats_end_within_bound(self, monkeypatch):
+        # near 1e9 adjacent floats lie 1.2e-7 apart, so no bracket narrows
+        # to 1e-8; the search must still stop, at a value whose CDF reaches alpha
+        rng = np.random.default_rng(76)
+        rows = np.column_stack([rng.integers(0, 3, 50).astype(float),
+                                1e9 + rng.normal(size=50)])
+        ds = MixedDataset((ColumnSchema("z", "discrete_ordered"),
+                           ColumnSchema("x", "continuous")), rows)
+        model = fit_kde(ds, NoiseSpec(0.8, 5, dims=1))
+        bound = _kernel_cdf_bound(model, {})
+        calls = _counting_kernel_cdf(monkeypatch)
+        q = cond_quantile(model, FunctionalQuery("quantile", 1, "continuous", alpha=0.5)).value
+        assert len(calls) <= bound
+        monkeypatch.undo()
+        assert _continuous_cdf(model, {}, q) >= 0.5
+        assert _continuous_cdf(model, {}, np.nextafter(q, -np.inf)) < 0.5
+
+    def test_epanechnikov_plateau_left_end(self, monkeypatch):
+        # two clusters further apart than 2h leave the CDF flat in between;
+        # a level equal to that flat value is first reached where the last
+        # kernel of the left cluster ends, and the slope there is 0
+        x = np.array([-0.3, -0.1, 0.0, 0.2, 5.0, 5.1, 5.3, 5.4])
+        z = np.array([0.0, 1.0, 0.0, 2.0, 1.0, 0.0, 1.0, 2.0])
+        ds = MixedDataset((ColumnSchema("z", "discrete_ordered"), ColumnSchema("x", "continuous")),
+                          np.column_stack([z, x]))
+        model = fit_kde(ds, NoiseSpec(0.8, 5, dims=1), kernel=get_kernel("epanechnikov"),
+                        bandwidth=[0.5, 0.01])
+        h = float(model.effective_bandwidths[1])
+        assert 5.0 - 0.2 > 2 * h
+        alpha = _continuous_cdf(model, {}, 2.6)
+        bound = _kernel_cdf_bound(model, {})
+        calls = _counting_kernel_cdf(monkeypatch)
+        q = cond_quantile(model, FunctionalQuery("quantile", 1, "continuous", alpha=alpha)).value
+        assert len(calls) <= bound
+        assert q == pytest.approx(0.2 + h, abs=1e-8)
 
 
 _KDE_PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -555,6 +626,16 @@ class TestKdeProperties:
         ]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert np.all(np.diff(vals) >= -1e-12)
+
+    @_KDE_PROPERTIES
+    @given(_small_fits, st.floats(1e-6, 1.0))
+    def test_continuous_quantile_bracket(self, params, alpha):
+        model = _fit(params)
+        point = {0: float(model.origin.rows[0, 0])}
+        q = cond_quantile(model, FunctionalQuery("quantile", 1, "continuous", point,
+                                                 alpha=alpha)).value
+        assert _continuous_cdf(model, point, q) >= alpha
+        assert _continuous_cdf(model, point, q - 1e-8) < alpha
 
     @_KDE_PROPERTIES
     @given(_small_fits, st.floats(0.02, 0.98))
