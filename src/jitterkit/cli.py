@@ -79,7 +79,8 @@ DEFAULTS = {
     "functionals": "kde_atom_mae",
 }
 
-_VERIFY_BATTERY = [(t, v) for t in (0.0, 0.4, 0.8) for v in (1, 2, 5)]
+_VERIFY_THETAS = (0.0, 0.4, 0.8)
+_VERIFY_NUS = (1, 2, 5)
 _BENCH_FUNCTIONALS = ("kde_atom_mae", "mean_abs_err")
 
 
@@ -178,7 +179,8 @@ def build_parser() -> _Parser:
     p.add_argument("--functionals", default=None,
                    help=f"comma-separated subset of {_BENCH_FUNCTIONALS}")
     p.add_argument("--workers", type=int, default=None,
-                   help="accepted and ignored: (n, seed) cells run in order")
+                   help="ignored, kept only so older configs still parse: "
+                        "(n, seed) cells run in order")
     p.add_argument("--output", required=True, help="long-format CSV (n, seed, functional, error)")
     _add_noise_opts(p)
     _add_config_opt(p)
@@ -207,10 +209,19 @@ def _opt(args, cfg: dict, key: str):
     return DEFAULTS.get(key)
 
 
-def _split_names(text) -> list[str]:
-    if not text:
+def _split_names(value) -> list[str]:
+    """The items of a comma-separated flag, or of a config file's JSON list."""
+    if not value:
         return []
-    return [t.strip() for t in str(text).split(",") if t.strip()]
+    items = value if isinstance(value, list) else str(value).split(",")
+    return [str(t).strip() for t in items if str(t).strip()]
+
+
+def _split_numbers(value, kind, flag: str) -> list:
+    try:
+        return [kind(t) for t in _split_names(value)]
+    except ValueError:
+        raise InvalidParameterError(f"{flag} needs numbers, got {value!r}") from None
 
 
 def _read_header(path) -> list[str]:
@@ -253,7 +264,7 @@ def _noise_spec(args, cfg, dims: int) -> NoiseSpec:
 def _parse_bandwidth(text):
     if text is None:
         return None
-    vals = [float(t) for t in _split_names(text)]
+    vals = _split_numbers(text, float, "--bandwidth")
     return vals[0] if len(vals) == 1 else vals
 
 
@@ -418,12 +429,9 @@ def run_verify(args) -> int:
     grid_points = int(_opt(args, cfg, "grid_points"))
     tol = float(_opt(args, cfg, "tol"))
     corrupt = _opt(args, cfg, "corrupt_eta_scale")
-    theta = getattr(args, "theta", None)
-    nu = getattr(args, "nu", None)
-    if theta is not None and nu is not None:
-        battery = [(float(theta), int(nu))]
-    else:
-        battery = _VERIFY_BATTERY
+    thetas = _VERIFY_THETAS if args.theta is None else (float(args.theta),)
+    nus = _VERIFY_NUS if args.nu is None else (int(args.nu),)
+    battery = [(t, v) for t in thetas for v in nus]
 
     pmf = DiscretePmf.binomial(4, 0.3)
     atoms = list(pmf.support)
@@ -532,7 +540,7 @@ def run_benchmark(args) -> int:
     cfg = _load_config(args)
     with open(args.model_config, encoding="utf-8") as fh:
         model = model_from_config(json.load(fh))
-    n_grid = [int(t) for t in _split_names(_opt(args, cfg, "n_grid"))]
+    n_grid = _split_numbers(_opt(args, cfg, "n_grid"), int, "--n-grid")
     seeds = int(_opt(args, cfg, "seeds"))
     jitters = int(_opt(args, cfg, "jitters"))
     kernel_name = str(_opt(args, cfg, "kernel"))

@@ -16,12 +16,18 @@ builds the product-kernel weights one column at a time on 1-D column
 views, so no (n, d) temporary is made. ``kde_eval`` and ``loclin_eval``
 walk each replicate in fixed chunks of ``_CHUNK_ROWS`` rows, which bounds
 their working memory independently of n.
+
+A fit is deterministic given its inputs, so a saved model holds those
+inputs (the origin rows, noise, seed, kernel and bandwidths) and a
+digest of each replicate, not the replicates: ``load_model`` refits.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-import pickle
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +44,7 @@ from .errors import (
     InsufficientDataError,
     InvalidParameterError,
     NoLocalDataError,
+    NumericalError,
     SchemaError,
 )
 from .noise import NoiseSpec
@@ -48,7 +55,7 @@ _MIN_TOTAL_WEIGHT = 1e-12
 _CHUNK_ROWS = 32_768  # rows per evaluation chunk: ~256 KB per float column
 
 MODEL_FORMAT = "jitterkit-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -209,7 +216,8 @@ def _jittered_fit(
     Draws ``num_jitters`` jitter replicates, then standardizes replicate
     0's smoothed columns (every column but ``response_index``) and selects
     their normal-reference bandwidths, unless ``bandwidth`` overrides them
-    (one value for all, or one per column; stored verbatim).
+    (a scalar for all columns, or a sequence with one per column; stored
+    verbatim).
     """
     if num_jitters < 1:
         raise InvalidParameterError(f"num_jitters must be >= 1, got {num_jitters}")
@@ -224,10 +232,10 @@ def _jittered_fit(
     transform = Standardization.from_rows(rows, tuple(dataset.schema[j].name for j in smoothed))
     if bandwidth is None:
         bandwidths = select_bandwidth(rows)
+    elif np.ndim(bandwidth) == 0:
+        bandwidths = np.full(len(smoothed), float(bandwidth))
     else:
-        bandwidths = np.atleast_1d(np.asarray(bandwidth, dtype=float))
-        if bandwidths.size == 1:
-            bandwidths = np.full(len(smoothed), bandwidths.flat[0])
+        bandwidths = np.asarray(bandwidth, dtype=float)
     return dict(kernel=kernel, noise=spec, seed=int(seed), bandwidths=bandwidths,
                 transform=transform, replicates=replicates)
 
@@ -420,97 +428,112 @@ def loclin_eval(model: LocLinModel, covariate_point) -> float:
     return float(np.mean(estimates))
 
 
-def _schema_payload(schema) -> list:
-    return [(c.name, c.kind, list(c.levels) if c.levels is not None else None) for c in schema]
-
-
-def _schema_from_payload(payload) -> tuple[ColumnSchema, ...]:
-    return tuple(
-        ColumnSchema(name, kind, tuple(levels) if levels is not None else None)
-        for name, kind, levels in payload
-    )
+def _digest(rows: np.ndarray) -> str:
+    return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
 def save_model(model: KdeModel | LocLinModel, path) -> None:
-    """Serialize a fitted model to a versioned binary artifact.
+    """Write a fitted model as the inputs of its fit, for :func:`load_model`
+    to refit.
 
-    The payload is plain data (arrays, scalars, schema tuples), so a
-    reload reproduces evaluations bit-identically and identical fits
-    serialize to identical bytes.
+    One JSON header line (type, kernel, noise, seed, bandwidths, schema,
+    one SHA-256 per jitter replicate and, for a local linear model, its
+    response settings) precedes the origin rows as one ``.npy`` block.
+    Identical fits write identical bytes. Only what :func:`fit_kde` or
+    :func:`fit_loclin` returned reloads as itself: a model assembled by
+    hand reloads as its fit would have made it, or, when its replicates
+    are not the fit's draws, fails as RNG-stream drift.
     """
-    payload = {
+    header = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "type": "loclin" if isinstance(model, LocLinModel) else "kde",
         "kernel": model.kernel.name,
-        "noise": (model.noise.theta, model.noise.nu, model.noise.dims),
+        "noise": [model.noise.theta, model.noise.nu, model.noise.dims],
         "seed": model.seed,
-        "bandwidths": np.asarray(model.bandwidths),
-        "transform": (np.asarray(model.transform.means), np.asarray(model.transform.scales)),
-        "schema": _schema_payload(model.schema),
-        "origin_rows": np.asarray(model.origin.rows),
-        "replicates": [
-            (rep.replicate_index, np.asarray(rep.rows)) for rep in model.replicates
-        ],
+        "bandwidths": model.bandwidths.tolist(),
+        "schema": [[c.name, c.kind] for c in model.schema],
+        "replicate_sha256": [_digest(rep.rows) for rep in model.replicates],
     }
     if isinstance(model, LocLinModel):
-        payload["response_index"] = model.response_index
-        payload["jitter_response"] = model.jitter_response
+        header["response_index"] = model.response_index
+        header["jitter_response"] = model.jitter_response
     with open(path, "wb") as fh:
-        fh.write(pickle.dumps(payload, protocol=4))
+        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        np.lib.format.write_array(fh, model.origin.rows, allow_pickle=False)
 
 
-# the fields save_model writes besides format and version; loclin models add two
-_PAYLOAD_FIELDS = ("type", "kernel", "noise", "seed", "bandwidths", "transform", "schema",
-                   "origin_rows", "replicates")
-_LOCLIN_FIELDS = ("response_index", "jitter_response")
+# each header field's JSON shape: a type, [shape] for a list of any length,
+# or (shape, ...) for a list of exactly those items
+_HEADER_FIELDS = {"kernel": str, "noise": (float, int, int), "seed": int,
+                  "bandwidths": [float], "schema": [(str, str)], "replicate_sha256": [str]}
+_LOCLIN_FIELDS = {"response_index": int, "jitter_response": bool}
+
+
+def _has_shape(value, shape) -> bool:
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_has_shape(v, shape[0]) for v in value)
+    if isinstance(shape, tuple):
+        return (isinstance(value, list) and len(value) == len(shape)
+                and all(map(_has_shape, value, shape)))
+    # JSON true and false must not pass as integers
+    return isinstance(value, shape) and (shape is bool or not isinstance(value, bool))
+
+
+def _read_rows(fh, path) -> np.ndarray:
+    """Read the origin rows' ``.npy`` block at ``fh``'s position. Any dtype
+    but float64, and any shape that claims more bytes than follow, is
+    refused before anything is allocated for it."""
+    start = fh.tell()
+    try:
+        np.lib.format.read_magic(fh)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if dtype != np.float64 or math.prod(shape) * dtype.itemsize > left:
+            raise ValueError(f"expected float64 rows in {left} bytes, got {dtype} {shape}")
+        fh.seek(start)
+        return np.lib.format.read_array(fh, allow_pickle=False)
+    except ValueError as exc:
+        raise InvalidParameterError(f"{path}: unreadable origin rows: {exc}") from None
 
 
 def load_model(path) -> KdeModel | LocLinModel:
-    """Load a model written by :func:`save_model`."""
+    """Rebuild a model written by :func:`save_model` by rerunning its fit.
+
+    Checks each header field's JSON type, reads the origin rows without
+    unpickling, and refits them with the stored bandwidths. Raises
+    :class:`NumericalError` when the refitted replicates' digests differ
+    from the stored ones: the noise RNG stream has drifted since.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        payload = pickle.loads(data)
-    except (pickle.UnpicklingError, EOFError):
-        payload = None  # not a pickle at all, or a truncated one
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise InvalidParameterError(f"{path}: not a jitterkit model artifact")
-    if payload.get("version") != MODEL_VERSION:
-        raise InvalidParameterError(
-            f"{path}: unsupported model version {payload.get('version')}"
+        try:
+            header = json.loads(fh.readline())
+        except (ValueError, RecursionError):
+            header = None  # not JSON: an older binary artifact, a CSV, a cut-off header
+        if (not isinstance(header, dict) or header.get("format") != MODEL_FORMAT
+                or header.get("version") != MODEL_VERSION
+                or header.get("type") not in ("kde", "loclin")):
+            raise InvalidParameterError(
+                f"{path}: not a jitterkit model artifact of version {MODEL_VERSION}"
+            )
+        fields = _HEADER_FIELDS | (_LOCLIN_FIELDS if header["type"] == "loclin" else {})
+        for name, shape in fields.items():
+            if not _has_shape(header.get(name), shape):
+                raise InvalidParameterError(f"{path}: model artifact field {name!r} is "
+                                            f"missing or of the wrong type: {header.get(name)!r}")
+        rows = _read_rows(fh, path)
+    dataset = MixedDataset(tuple(ColumnSchema(*column) for column in header["schema"]), rows)
+    fit = dict(spec=NoiseSpec(*header["noise"]), kernel=Kernel(header["kernel"]),
+               num_jitters=len(header["replicate_sha256"]), seed=header["seed"],
+               bandwidth=header["bandwidths"])
+    if header["type"] == "loclin":
+        model = fit_loclin(dataset, header["response_index"],
+                           jitter_response=header["jitter_response"], **fit)
+    else:
+        model = fit_kde(dataset, **fit)
+    if [_digest(rep.rows) for rep in model.replicates] != header["replicate_sha256"]:
+        raise NumericalError(
+            f"{path}: the refitted jitter replicates do not match the artifact's SHA-256 "
+            "digests: the noise RNG stream has drifted since it was written; refit the model"
         )
-    fields = _PAYLOAD_FIELDS + (_LOCLIN_FIELDS if payload.get("type") == "loclin" else ())
-    missing = [name for name in fields if name not in payload]
-    if missing:
-        raise InvalidParameterError(f"{path}: model artifact lacks {', '.join(missing)}")
-    schema = _schema_from_payload(payload["schema"])
-    origin = MixedDataset(schema=schema, rows=payload["origin_rows"])
-    theta, nu, dims = payload["noise"]
-    spec = NoiseSpec(theta=theta, nu=nu, dims=dims)
-    replicates = tuple(
-        JitteredDataset(
-            origin=origin,
-            noise=spec,
-            seed=payload["seed"],
-            replicate_index=idx,
-            rows=rows,
-        )
-        for idx, rows in payload["replicates"]
-    )
-    transform = Standardization(means=payload["transform"][0], scales=payload["transform"][1])
-    common = dict(
-        kernel=Kernel(payload["kernel"]),
-        noise=spec,
-        seed=payload["seed"],
-        bandwidths=payload["bandwidths"],
-        transform=transform,
-        replicates=replicates,
-    )
-    if payload["type"] == "loclin":
-        return LocLinModel(
-            response_index=payload["response_index"],
-            jitter_response=payload["jitter_response"],
-            **common,
-        )
-    return KdeModel(**common)
+    return model

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import csv
+import io
 import json
 import math
 import pickle
@@ -35,6 +36,39 @@ def _read_rows(path):
 
 
 SCHEMA_FLAGS = ["--discrete", "z", "--continuous", "x"]
+
+# edits of a model artifact's JSON header, and of its .npy block's header,
+# that must each make the artifact fail to load with a usage error
+HEADER_EDITS = {
+    "nan_bandwidth": lambda h: h.update(bandwidths=[math.nan, 0.5]),
+    "short_bandwidths": lambda h: h.update(bandwidths=[0.5]),
+    "missing_field": lambda h: h.pop("schema"),
+    "word_bandwidths": lambda h: h.update(bandwidths="wide"),
+    "short_noise": lambda h: h.update(noise=[0.8]),
+    "bool_seed": lambda h: h.update(seed=True),
+}
+NPY_EDITS = {
+    "object_rows": {"descr": "|O"},
+    "overlong_rows": {"shape": (10**9, 2)},
+}
+# what the usage error names for each damage
+DAMAGE_NAMED = {
+    "csv": "not a jitterkit model artifact", "truncated": "not a jitterkit model artifact",
+    "nan_bandwidth": "bandwidths", "short_bandwidths": "bandwidths",
+    "missing_field": "'schema'", "word_bandwidths": "'bandwidths'",
+    "short_noise": "'noise'", "bool_seed": "'seed'",
+    "object_rows": "origin rows", "overlong_rows": "origin rows",
+}
+
+
+class _WritesFile:
+    """Unpickles by creating the file at ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
 
 
 class TestJitterCommand:
@@ -225,29 +259,27 @@ class TestFitEvalCommands:
         assert code == 1
         assert "numeric" in captured.err
 
-    @pytest.mark.parametrize("damage", ["csv", "truncated", "nan_bandwidth", "short_bandwidths",
-                                        "short_transform", "missing_field"])
+    @pytest.mark.parametrize("damage", ["csv", "truncated", *HEADER_EDITS, *NPY_EDITS])
     def test_malformed_artifact_exit_1(self, data_csv, tmp_path, capsys, damage):
         model = tmp_path / "m.bin"
         assert main(["fit", "--input", str(data_csv), "--output", str(model),
                      *SCHEMA_FLAGS]) == 0
+        head, _, block = model.read_bytes().partition(b"\n")
         if damage == "csv":
             model.write_bytes(data_csv.read_bytes())
         elif damage == "truncated":
             model.write_bytes(model.read_bytes()[:300])
+        elif damage in HEADER_EDITS:
+            header = json.loads(head)
+            HEADER_EDITS[damage](header)
+            model.write_bytes(json.dumps(header).encode() + b"\n" + block)
         else:
-            payload = pickle.loads(model.read_bytes())
-            if damage == "nan_bandwidth":
-                payload["bandwidths"] = np.array([math.nan, 0.5])
-            elif damage == "short_bandwidths":
-                payload["bandwidths"] = np.array([0.5])
-            elif damage == "short_transform":
-                # transform and bandwidths cut short together still agree
-                payload["bandwidths"] = payload["bandwidths"][:1]
-                payload["transform"] = tuple(a[:1] for a in payload["transform"])
-            else:
-                del payload["schema"]
-            model.write_bytes(pickle.dumps(payload, protocol=4))
+            rows = np.lib.format.read_array(io.BytesIO(block))
+            fields = np.lib.format.header_data_from_array_1_0(rows)
+            fields.update(NPY_EDITS[damage])
+            npy = io.BytesIO()
+            np.lib.format.write_array_header_1_0(npy, fields)
+            model.write_bytes(head + b"\n" + npy.getvalue() + rows.tobytes())
         code = main(["eval", "--model", str(model), "--functional", "density",
                      "--at", "z=2,x=0.0"])
         captured = capsys.readouterr()
@@ -255,8 +287,89 @@ class TestFitEvalCommands:
         assert captured.out == ""
         assert "usage error" in captured.err
         assert "Traceback" not in captured.err
-        if damage == "missing_field":
-            assert "schema" in captured.err
+        assert DAMAGE_NAMED[damage] in captured.err
+
+    @pytest.mark.parametrize("payload", ["version_1", "reduce_marker"])
+    def test_pickle_artifact_never_unpickled(self, tmp_path, capsys, payload):
+        model, marker = tmp_path / "m.bin", tmp_path / "marker"
+        if payload == "version_1":
+            data = {"format": "jitterkit-model", "version": 1, "type": "kde",
+                    "origin_rows": np.zeros((4, 2)), "replicates": [(0, np.zeros((4, 2)))]}
+        else:
+            data = _WritesFile(marker)
+        model.write_bytes(pickle.dumps(data, protocol=4))
+        code = main(["eval", "--model", str(model), "--functional", "density",
+                     "--at", "z=2,x=0.0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "not a jitterkit model artifact" in captured.err
+        assert not marker.exists()
+        pickle.loads(model.read_bytes())  # the guard: unpickling would leave the file
+        assert marker.exists() == (payload == "reduce_marker")
+
+    def test_replicate_drift_exit_3(self, data_csv, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(data_csv), "--output", str(model),
+                     *SCHEMA_FLAGS, "--jitters", "3"]) == 0
+        head, _, block = model.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        digest = header["replicate_sha256"][1]
+        header["replicate_sha256"][1] = ("1" if digest[0] == "0" else "0") + digest[1:]
+        model.write_bytes(json.dumps(header).encode() + b"\n" + block)
+        code = main(["eval", "--model", str(model), "--functional", "density",
+                     "--at", "z=2,x=0.0"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "RNG stream has drifted" in captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestListOptions:
+    """List-valued options: comma-separated on the command line, a comma-
+    separated string or a JSON list in a config file."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["fit", "--bandwidth", "abc"], None),
+        (["fit"], {"bandwidth": [0.3, "abc"]}),
+        (["benchmark", "--n-grid", "50,abc"], None),
+        (["benchmark"], {"n_grid": [50, "abc"]}),
+    ], ids=["bandwidth_flag", "bandwidth_config", "n_grid_flag", "n_grid_config"])
+    def test_non_numeric_item_exit_1(self, data_csv, model_config, tmp_path, capsys,
+                                     argv, config):
+        code = main(self._argv(argv, config, data_csv, model_config, tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "usage error" in captured.err
+        assert "numbers" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, config", [
+        (["fit", "--bandwidth", "0.3,0.4"], {"bandwidth": [0.3, 0.4]}),
+        (["benchmark", "--n-grid", "50,100"], {"n_grid": [50, 100]}),
+        (["benchmark", "--functionals", "kde_atom_mae,mean_abs_err"],
+         {"functionals": ["kde_atom_mae", "mean_abs_err"]}),
+    ], ids=["bandwidth", "n_grid", "functionals"])
+    def test_config_list_matches_flag(self, data_csv, model_config, tmp_path, capsys,
+                                      argv, config):
+        outputs = []
+        for name, (args, cfg) in {"flag": (argv, None), "config": (argv[:1], config)}.items():
+            out = tmp_path / name
+            assert main(self._argv(args, cfg, data_csv, model_config, out)) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    @staticmethod
+    def _argv(argv, config, data_csv, model_config, out):
+        if argv[0] == "fit":
+            argv = argv + ["--input", str(data_csv), *SCHEMA_FLAGS]
+        else:
+            argv = argv + ["--model-config", str(model_config), "--seeds", "1"]
+        if config is not None:
+            cfg = out.with_suffix(".json")
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        return argv + ["--output", str(out)]
 
 
 class TestConfigPrecedence:
@@ -278,6 +391,11 @@ class TestConfigPrecedence:
         assert overridden.read_bytes() != from_config.read_bytes()
 
 
+def _verified_specs(out: str) -> set[str]:
+    table = out.split("\n\n")[0].splitlines()[1:]
+    return {" ".join(line.split()[:2]) for line in table}
+
+
 class TestVerifyCommand:
     def test_battery_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -288,8 +406,15 @@ class TestVerifyCommand:
 
     def test_single_spec(self, capsys):
         assert main(["verify", "--theta", "0.8", "--nu", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "theta=0.8 nu=5" in out
+        assert _verified_specs(capsys.readouterr().out) == {"theta=0.8 nu=5"}
+
+    @pytest.mark.parametrize("flags, specs", [
+        (["--theta", "0.4"], {"theta=0.4 nu=1", "theta=0.4 nu=2", "theta=0.4 nu=5"}),
+        (["--nu", "2"], {"theta=0 nu=2", "theta=0.4 nu=2", "theta=0.8 nu=2"}),
+    ], ids=["theta", "nu"])
+    def test_one_parameter_keeps_the_other_battery_values(self, capsys, flags, specs):
+        assert main(["verify", *flags]) == 0
+        assert _verified_specs(capsys.readouterr().out) == specs
 
     def test_corrupted_density_fails(self, capsys):
         code = main(["verify", "--corrupt-eta-scale", "0.9"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from jitterkit import (
@@ -139,10 +141,14 @@ class TestJitter:
         x = rng.normal(size=n)
         return MixedDataset(ZX, np.column_stack([z, x]))
 
-    def test_support_bound(self):
-        ds = self._dataset()
-        spec = NoiseSpec(theta=0.8, nu=5, dims=1)
-        jd = jitter(ds, spec, seed=1)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 300), st.integers(0, 2**32), st.floats(0.0, 0.95),
+           st.integers(1, 8), st.integers(0, 5))
+    def test_support_bound(self, n, seed, theta, nu, replicate_index):
+        # every jittered entry lies within gamma2 of its origin
+        ds = self._dataset(n, seed)
+        spec = NoiseSpec(theta=theta, nu=nu, dims=1)
+        jd = jitter(ds, spec, seed=seed, replicate_index=replicate_index)
         assert np.all(np.abs(jd.rows[:, 0] - ds.rows[:, 0]) < spec.gamma2)
 
     def test_theta_zero_rounding_recovers(self):

@@ -7,10 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from jitterkit import (
     ColumnSchema,
+    DiscretePmf,
+    FunctionalQuery,
     InsufficientDataError,
     InvalidParameterError,
     JitteredDataset,
@@ -22,6 +26,7 @@ from jitterkit import (
     SchemaError,
     Standardization,
     SyntheticMixedModel,
+    cond_mean,
     fit_kde,
     fit_loclin,
     get_kernel,
@@ -34,11 +39,12 @@ from jitterkit import (
     select_bandwidth,
 )
 
-from jitterkit import estimators
+from jitterkit import JitterkitError, estimators
 from conftest import discrete_dataset
 
 SPEC = NoiseSpec(theta=0.8, nu=5, dims=1)
 NO_DISCRETE = NoiseSpec(theta=0.8, nu=5, dims=0)
+_PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
 def _continuous_dataset(n=100, seed=3, slope=3.0, intercept=0.0, noise=0.0):
@@ -218,10 +224,15 @@ class TestKdeEval:
         far = ds.rows[:, 0].max() + 12 * model.effective_bandwidths[0]
         assert kde_eval(model, [far]) < 1e-10
 
-    def test_nonnegative_everywhere(self, binom43):
-        ds = discrete_dataset(binom43, 200, seed=4)
-        model = fit_kde(ds, SPEC, num_jitters=2, seed=4)
-        for p in np.linspace(-3, 8, 111):
+    @_PROPERTIES
+    @given(st.sampled_from(["gaussian", "epanechnikov"]), st.integers(2, 200),
+           st.integers(0, 10_000), st.integers(1, 3),
+           st.lists(st.floats(-3.0, 8.0), min_size=1, max_size=20))
+    def test_nonnegative_everywhere(self, kernel_name, n, seed, num_jitters, points):
+        ds = discrete_dataset(DiscretePmf.binomial(4, 0.3), n, seed=seed)
+        model = fit_kde(ds, SPEC, kernel=get_kernel(kernel_name), num_jitters=num_jitters,
+                        seed=seed)
+        for p in points:
             assert kde_eval(model, [p]) >= 0.0
 
     @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
@@ -486,6 +497,44 @@ class TestSerialization:
         save_model(fit_kde(ds, SPEC, num_jitters=3, seed=7), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @_PROPERTIES
+    @given(st.sampled_from(["kde", "loclin"]), st.sampled_from(["gaussian", "epanechnikov"]),
+           st.integers(1, 2), st.integers(8, 40), st.integers(1, 3), st.integers(0, 2**32),
+           st.one_of(st.none(), st.floats(0.2, 2.0)), st.integers(0, 3), st.booleans())
+    def test_round_trip_property(self, tmp_path_factory, estimator, kernel_name, num_discrete,
+                                 n, num_jitters, seed, bandwidth, response, jitter_response):
+        ds = _mixed_dataset(num_discrete, n, seed)
+        spec = NoiseSpec(theta=0.4, nu=2, dims=num_discrete)
+        fit = dict(kernel=get_kernel(kernel_name), num_jitters=num_jitters, seed=seed,
+                   bandwidth=bandwidth)
+        x0 = ds.rows[0]
+        if estimator == "kde":
+            model = fit_kde(ds, spec, **fit)
+
+            def evaluations(m):
+                query = FunctionalQuery("mean", 0, "discrete", {num_discrete: float(x0[-2])})
+                return (_outcome(kde_eval, m, x0), _outcome(kde_eval, m, x0 + 0.3),
+                        _outcome(lambda: cond_mean(m, query).value))
+        else:
+            response %= len(ds.schema)
+            model = fit_loclin(ds, response, spec, jitter_response=jitter_response, **fit)
+
+            def evaluations(m):
+                return _outcome(loclin_eval, m, np.delete(x0, response))
+        path = tmp_path_factory.mktemp("round-trip") / "m.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert type(loaded) is type(model)
+        for rep, back in zip(model.replicates, loaded.replicates, strict=True):
+            assert_array_equal(back.rows, rep.rows)
+        assert_array_equal(loaded.transform.means, model.transform.means)
+        assert_array_equal(loaded.transform.scales, model.transform.scales)
+        assert_array_equal(loaded.bandwidths, model.bandwidths)
+        assert evaluations(loaded) == evaluations(model)
+        again = path.with_name("again.bin")
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_reject_foreign_file(self, tmp_path, binom43):
         path = tmp_path / "junk.bin"
         import pickle
@@ -500,6 +549,14 @@ class TestSerialization:
             path.write_bytes(content)
             with pytest.raises(InvalidParameterError, match="not a jitterkit model artifact"):
                 load_model(path)
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the name of the package error it raises."""
+    try:
+        return f(*args)
+    except JitterkitError as exc:
+        return type(exc).__name__
 
 
 def _hand_models(kde_bandwidths, loclin_bandwidths):
@@ -563,6 +620,13 @@ class TestModelCore:
             fit_kde(ds, NO_DISCRETE, bandwidth=bandwidth)
         with pytest.raises(InvalidParameterError, match="bandwidths"):
             fit_loclin(ds, 0, NO_DISCRETE, bandwidth=bandwidth)
+
+    def test_one_item_override_is_not_spread(self):
+        # a scalar is spread over every column; a sequence is one per column
+        ds = _continuous_dataset()
+        assert fit_kde(ds, NO_DISCRETE, bandwidth=0.5).bandwidths.tolist() == [0.5, 0.5]
+        with pytest.raises(InvalidParameterError, match="expected 2 bandwidths"):
+            fit_kde(ds, NO_DISCRETE, bandwidth=[0.5])
 
     @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
     def test_fit_kde_standardizes_replicate_zero_rows(self, kernel_name):

@@ -6,6 +6,7 @@ long since imported scipy.stats and friends.
 
 import json
 import os
+import re
 import pathlib
 import subprocess
 import sys
@@ -102,3 +103,12 @@ def test_no_module_imports_scipy_stats():
     assert sources
     for path in sources:
         assert "scipy.stats" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_no_module_uses_pickle():
+    # model artifacts are JSON and .npy: loading one must never unpickle.
+    # The word boundary lets numpy's allow_pickle=False through.
+    sources = sorted((SRC / "jitterkit").glob("*.py"))
+    assert sources
+    for path in sources:
+        assert not re.search(r"\bpickle\b", path.read_text(encoding="utf-8")), path.name
