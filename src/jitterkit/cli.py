@@ -254,11 +254,7 @@ def _schema_from_flags(path, args, cfg) -> list[ColumnSchema]:
 
 
 def _noise_spec(args, cfg, dims: int) -> NoiseSpec:
-    return NoiseSpec(
-        theta=float(_opt(args, cfg, "theta")),
-        nu=int(_opt(args, cfg, "nu")),
-        dims=dims,
-    )
+    return NoiseSpec(theta=_opt(args, cfg, "theta"), nu=_opt(args, cfg, "nu"), dims=dims)
 
 
 def _parse_bandwidth(text):
@@ -553,8 +549,7 @@ def run_benchmark(args) -> int:
         )
     if not n_grid or seeds < 1:
         raise InvalidParameterError("need a nonempty n grid and seeds >= 1")
-    spec_base = NoiseSpec(theta=float(_opt(args, cfg, "theta")),
-                          nu=int(_opt(args, cfg, "nu")), dims=1)
+    spec_base = NoiseSpec(theta=_opt(args, cfg, "theta"), nu=_opt(args, cfg, "nu"), dims=1)
 
     results = {
         (n, s): _bench_cell(model, spec_base, kernel_name, jitters, n, s, master_seed, functionals)

@@ -17,6 +17,14 @@ views, so no (n, d) temporary is made. ``kde_eval`` and ``loclin_eval``
 walk each replicate in fixed chunks of ``_CHUNK_ROWS`` rows, which bounds
 their working memory independently of n.
 
+A Gaussian weight whose exponent ``-0.5 * sum u_j^2`` is below -700 is
+an exact 0.0 (see ``_exp``). Rows more than about 37 bandwidths from the
+point have such exponents, and for them numpy's ``exp`` leaves its
+vectorised loop for a much slower underflow path, so a few far rows
+scattered through an array multiplied the time of a whole evaluation.
+A dropped weight is below ``e^-700 (2 pi)^(-k/2)``, about 1e-305, before
+normalisation, which bounds the change to any result.
+
 A fit is deterministic given its inputs, so a saved model holds those
 inputs (the origin rows, noise, seed, kernel and bandwidths) and a
 digest of each replicate, not the replicates: ``load_model`` refits.
@@ -53,9 +61,25 @@ _KERNEL_NAMES = ("gaussian", "epanechnikov")
 _RIDGE_FACTOR = 1e-8
 _MIN_TOTAL_WEIGHT = 1e-12
 _CHUNK_ROWS = 32_768  # rows per evaluation chunk: ~256 KB per float column
+_EXP_FLOOR = -700.0  # Gaussian exp arguments below it give a weight of exactly 0
 
 MODEL_FORMAT = "jitterkit-model"
 MODEL_VERSION = 2
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``np.exp(x)`` in place, except that an argument below ``_EXP_FLOOR``
+    gives an exact 0.0, so no lane takes numpy's underflow slow path."""
+    near = None
+    if x.size and x.min() < _EXP_FLOOR:
+        near = x >= _EXP_FLOOR
+        np.maximum(x, _EXP_FLOOR, out=x)
+    np.exp(x, out=x)
+    if near is not None:
+        # far lanes are scattered through the rows: a multiply by the mask
+        # zeroes them without the branch a masked store takes per lane
+        np.multiply(x, near, out=x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -74,7 +98,7 @@ class Kernel:
     def profile(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if self.name == "gaussian":
-            return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+            return _exp(np.asarray(-0.5 * u * u)) / math.sqrt(2.0 * math.pi)
         # epanechnikov, compact support [-1, 1]
         return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
@@ -86,22 +110,28 @@ class Kernel:
         Works column by column on 1-D views, so its temporaries are a few
         arrays of ``len(rows)`` floats whatever the number of columns.
         """
-        acc = np.zeros(len(rows)) if self.name == "gaussian" else np.ones(len(rows))
+        if not len(columns):
+            return np.ones(len(rows))
+        acc = None
         for c, p, hj in zip(columns, point, h):
             u = np.subtract(rows[:, c], p)
             u /= hj
             np.square(u, out=u)
-            if self.name == "gaussian":
-                acc += u
-            else:
+            if self.name != "gaussian":
                 # 1 - u^2 clipped at 0 is exactly 0 outside the support |u| <= 1
                 np.subtract(1.0, u, out=u)
                 np.maximum(u, 0.0, out=u)
+            # the first column's factor is the accumulator: 0 + u^2 and 1 * v are exact
+            if acc is None:
+                acc = u
+            elif self.name == "gaussian":
+                acc += u
+            else:
                 acc *= u
         k = len(columns)
         if self.name == "gaussian":
             acc *= -0.5
-            np.exp(acc, out=acc)
+            _exp(acc)
             acc *= (2.0 * math.pi) ** (-0.5 * k)
         else:
             acc *= 0.75**k

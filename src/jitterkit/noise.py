@@ -18,6 +18,7 @@ conditions numerically for any candidate density.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -26,6 +27,28 @@ import scipy
 
 from .errors import InvalidParameterError
 from .quadrature import adaptive_integral
+
+
+def _whole(value, what: str, least: int, float_range: bool = False) -> int:
+    """``value`` as an int of at least ``least``. An integer is checked as
+    an integer, so one too large for a float is no ``OverflowError``; with
+    ``float_range`` it must also fit in a float64."""
+    try:
+        whole = operator.index(value)  # an int, bool or numpy integer
+    except TypeError:
+        if not float(value).is_integer():
+            raise InvalidParameterError(f"{what} must be an integer, got {value}") from None
+        whole = int(float(value))
+    if whole < least:
+        raise InvalidParameterError(f"{what} must be an integer >= {least}, got {value}")
+    if float_range:
+        try:
+            float(whole)
+        except OverflowError:
+            raise InvalidParameterError(
+                f"{what} must fit in a float64, got an integer of {whole.bit_length()} bits"
+            ) from None
+    return whole
 
 
 @dataclass(frozen=True)
@@ -44,16 +67,15 @@ class NoiseSpec:
     dims: int = 1
 
     def __post_init__(self):
-        theta = float(self.theta)
+        try:
+            theta = float(self.theta)
+        except OverflowError:
+            theta = math.inf  # an integer beyond the float range
         if not 0.0 <= theta < 1.0 or not math.isfinite(theta):
             raise InvalidParameterError(f"theta must lie in [0, 1), got {self.theta}")
-        if not float(self.nu).is_integer() or self.nu < 1:
-            raise InvalidParameterError(f"nu must be a positive integer, got {self.nu}")
-        if not float(self.dims).is_integer() or self.dims < 0:
-            raise InvalidParameterError(f"dims must be a nonnegative integer, got {self.dims}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "nu", int(self.nu))
-        object.__setattr__(self, "dims", int(self.dims))
+        object.__setattr__(self, "nu", _whole(self.nu, "nu", 1, float_range=True))
+        object.__setattr__(self, "dims", _whole(self.dims, "dims", 0, float_range=True))
 
     @property
     def gamma1(self) -> float:
@@ -109,8 +131,7 @@ def beta_cdf(nu: int, x: float) -> float:
     interior is ``scipy.special.betainc``. ``x = nan`` is rejected rather
     than passed on as a nan CDF.
     """
-    if not float(nu).is_integer() or nu < 1:
-        raise InvalidParameterError(f"nu must be a positive integer, got {nu}")
+    a = float(_whole(nu, "nu", 1, float_range=True))
     x = float(x)
     if x <= 0.0:
         return 0.0
@@ -118,7 +139,6 @@ def beta_cdf(nu: int, x: float) -> float:
         return 1.0
     if math.isnan(x):
         raise InvalidParameterError("beta_cdf needs a number, got nan")
-    a = float(nu)
     return float(scipy.special.betainc(a, a, x))
 
 
@@ -150,13 +170,8 @@ def noise_stream(seed: int, replicate_index: int = 0) -> np.random.Generator:
     same master ``seed`` via spawn keys, so replicates are independent yet
     reproducible.
     """
-    if not float(seed).is_integer() or seed < 0:
-        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed}")
-    if not float(replicate_index).is_integer() or replicate_index < 0:
-        raise InvalidParameterError(
-            f"replicate_index must be a nonnegative integer, got {replicate_index}"
-        )
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replicate_index),))
+    ss = np.random.SeedSequence(entropy=_whole(seed, "seed", 0),
+                                spawn_key=(_whole(replicate_index, "replicate_index", 0),))
     return np.random.Generator(np.random.Philox(ss))
 
 

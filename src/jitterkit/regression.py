@@ -50,8 +50,16 @@ _KINDS = ("mean", "cdf", "quantile", "class_probs")
 _RESPONSE_KINDS = ("discrete", "continuous")
 
 
+def _float(value) -> float:
+    """``float(value)``, or inf for an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _check_finite_point(point: Mapping[int, float]) -> None:
-    if not all(math.isfinite(float(v)) for v in point.values()):
+    if not all(math.isfinite(_float(v)) for v in point.values()):
         raise InvalidParameterError(f"covariate_point values must be finite, got {dict(point)}")
 
 
@@ -86,7 +94,7 @@ class FunctionalQuery:
         if self.kind == "cdf":
             if self.threshold is None:
                 raise InvalidParameterError("cdf queries need a threshold")
-            if not math.isfinite(float(self.threshold)):
+            if not math.isfinite(_float(self.threshold)):
                 raise InvalidParameterError(f"threshold must be finite, got {self.threshold}")
             if self.response_kind == "discrete" and not float(self.threshold).is_integer():
                 raise InvalidParameterError(
@@ -130,61 +138,93 @@ class ResponseSlice:
     response_max: float = field(default=math.nan)
 
 
+def _covariate_weights(
+    model: KdeModel, covariate_point: Mapping[int, float]
+) -> tuple[np.ndarray, float]:
+    """The product-kernel weights of the covariates at ``covariate_point``,
+    stacked over the replicates' R * n rows, and the product of their
+    bandwidths. They do not depend on the response column."""
+    d = len(model.schema)
+    for j in covariate_point:
+        if not 0 <= j < d:
+            raise SchemaError(f"covariate column index {j} invalid for this model")
+    cov_idx = sorted(covariate_point)
+    cov_vals = np.array([float(covariate_point[j]) for j in cov_idx])
+    cov_h = model.effective_bandwidths[cov_idx]
+    w = np.concatenate([model.kernel.product_weights(rep.rows, cov_idx, cov_vals, cov_h)
+                        for rep in model.replicates])
+    return w, float(np.prod(cov_h))
+
+
 def _kde_response_slice(
-    model: KdeModel, response_index: int, covariate_point: Mapping[int, float]
+    model: KdeModel, response_index: int, covariate_point: Mapping[int, float],
+    weights: tuple[np.ndarray, float] | None = None,
 ) -> ResponseSlice:
     """Slice of a KDE: along the response axis it is a weighted sum of
-    shifted kernels, so its integrals are sums of kernel antiderivatives."""
+    shifted kernels, so its integrals are sums of kernel antiderivatives.
+    ``weights`` are :func:`_covariate_weights` at ``covariate_point``, when
+    the caller already has them."""
     d = len(model.schema)
     if not 0 <= response_index < d:
         raise SchemaError(f"response_index {response_index} out of range for {d} columns")
-    for j in covariate_point:
-        if not 0 <= j < d or j == response_index:
-            raise SchemaError(f"covariate column index {j} invalid for this model")
+    if response_index in covariate_point:
+        raise SchemaError(f"covariate column index {response_index} invalid for this model")
+    w, cov_norm = weights if weights is not None else _covariate_weights(model, covariate_point)
 
     h = model.effective_bandwidths
     h_resp = float(h[response_index])
-    cov_idx = sorted(covariate_point)
-    cov_vals = np.array([float(covariate_point[j]) for j in cov_idx])
-    cov_h = h[cov_idx]
     kernel = model.kernel
-    reps = model.replicates
-    # the replicates' response values and covariate weights, stacked over all R * n rows
-    resp = np.concatenate([rep.rows[:, response_index] for rep in reps])
-    w = np.concatenate([kernel.product_weights(rep.rows, cov_idx, cov_vals, cov_h)
-                        for rep in reps])
-    norm = len(resp) * h_resp * float(np.prod(cov_h))
+    resp = np.concatenate([rep.rows[:, response_index] for rep in model.replicates])
+    norm = len(resp) * h_resp * cov_norm
 
     observed = model.origin.rows[:, response_index]
     r_min = float(observed.min())
     r_max = float(observed.max())
     pad = _WINDOW_BANDWIDTHS * float(h.max()) + 1.0
     lower = r_min - pad
-    # most integrals start at the window floor (every search pass of a
-    # continuous quantile does), so its kernel CDF is computed once
-    floor_cdf = kernel.cdf((lower - resp) / h_resp)
+    upper = r_max + pad
 
-    def cdf_at(t: float) -> np.ndarray:
-        return floor_cdf if t == lower else kernel.cdf((t - resp) / h_resp)
+    # each kernel CDF pass is kept with its offsets (t - resp) / h_resp:
+    # the window's ends, which the denominator and every integral from the
+    # floor use, and the last other t, which is the next integer segment's
+    # lower end in a discrete quantile and the point a density follows
+    def offsets_and_cdf(t: float) -> tuple[float, np.ndarray, np.ndarray]:
+        u = (t - resp) / h_resp
+        return t, u, kernel.cdf(u)
+
+    ends = (offsets_and_cdf(lower), offsets_and_cdf(upper))
+    last = [ends[0]]
+
+    def at(t: float) -> tuple[float, np.ndarray, np.ndarray]:
+        for kept in (*ends, last[0]):
+            if kept[0] == t:
+                return kept
+        kept = last[0] = offsets_and_cdf(t)
+        return kept
 
     def density(s: float) -> float:
-        return float((w * kernel.profile((resp - s) / h_resp)).sum()) / norm
+        # the kernel is symmetric, so (s - resp) / h_resp serves as well as its negative
+        kept = last[0]
+        u = kept[1] if kept[0] == s else (s - resp) / h_resp
+        return float((w * kernel.profile(u)).sum()) / norm
 
     # int_a^b K((s - r) / h) ds = h [C(ub) - C(ua)]; with s = r + h t the
     # first moment adds h^2 [M(ub) - M(ua)] to r times that mass
     def integral(a: float, b: float) -> float:
-        return float((w * (cdf_at(b) - cdf_at(a))).sum()) * h_resp / norm
+        (_, _, ca), (_, _, cb) = at(a), at(b)
+        return float((w * (cb - ca)).sum()) * h_resp / norm
 
     def first_moment(a: float, b: float) -> float:
-        centres = resp * (cdf_at(b) - cdf_at(a))
+        (_, ua, ca), (_, ub, cb) = at(a), at(b)
+        centres = resp * (cb - ca)
         moment = kernel.partial_moment
-        spreads = h_resp * (moment((b - resp) / h_resp) - moment((a - resp) / h_resp))
+        spreads = h_resp * (moment(ub) - moment(ua))
         return float((w * (centres + spreads)).sum()) * h_resp / norm
 
     return ResponseSlice(
         density=density,
         lower=lower,
-        upper=r_max + pad,
+        upper=upper,
         response_min=r_min,
         response_max=r_max,
         integral=integral,
@@ -222,14 +262,17 @@ def _denominator(sl: ResponseSlice, query: FunctionalQuery) -> float:
     return denom
 
 
+def _mean(sl: ResponseSlice, query: FunctionalQuery) -> ConditionalEstimate:
+    denom = _denominator(sl, query)
+    num = sl.first_moment(sl.lower, sl.upper)
+    return ConditionalEstimate(value=num / denom, denominator_mass=denom, query=query)
+
+
 def cond_mean(model, query: FunctionalQuery) -> ConditionalEstimate:
     """Conditional mean of the response at the query's covariate point."""
     if query.kind != "mean":
         raise InvalidParameterError(f"cond_mean got a {query.kind!r} query")
-    sl = response_slice(model, query.response_index, query.covariate_point)
-    denom = _denominator(sl, query)
-    num = sl.first_moment(sl.lower, sl.upper)
-    return ConditionalEstimate(value=num / denom, denominator_mass=denom, query=query)
+    return _mean(response_slice(model, query.response_index, query.covariate_point), query)
 
 
 def _corrected_cdf(
@@ -375,6 +418,7 @@ def classify(model, query: FunctionalQuery) -> ConditionalEstimate:
                 )
     probs = np.empty(len(query.class_columns))
     denom = math.nan
+    weights = None  # a KDE's covariate weights, built once for every class column
     for i, c in enumerate(query.class_columns):
         sub = FunctionalQuery(
             kind="mean",
@@ -382,7 +426,12 @@ def classify(model, query: FunctionalQuery) -> ConditionalEstimate:
             response_kind="discrete",
             covariate_point=query.covariate_point,
         )
-        est = cond_mean(model, sub)
+        if isinstance(model, KdeModel):
+            weights = weights or _covariate_weights(model, sub.covariate_point)
+            sl = _kde_response_slice(model, c, sub.covariate_point, weights)
+        else:
+            sl = response_slice(model, c, sub.covariate_point)
+        est = _mean(sl, sub)
         probs[i] = est.value
         denom = est.denominator_mass if i == 0 else denom
     probs = np.clip(probs, 0.0, 1.0)

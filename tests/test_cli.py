@@ -325,6 +325,62 @@ class TestFitEvalCommands:
         assert "Traceback" not in captured.err
 
 
+# an integer no float64 holds, as a command line or config file gives it
+HUGE = "1" + "0" * 400
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("command,config", [
+        (["jitter", "--nu", HUGE], None),
+        (["fit", "--nu", HUGE], None),
+        (["jitter"], {"theta": int(HUGE)}),
+        (["fit"], {"nu": int(HUGE)}),
+        (["eval", "--functional", "cdf", "--response", "z"], {"threshold": int(HUGE)}),
+        (["eval", "--functional", "density", "--at", f"z=1,x={HUGE}"], None),
+        (["benchmark", "--nu", HUGE], None),
+    ], ids=["jitter_nu", "fit_nu", "config_theta", "config_nu", "config_threshold",
+            "eval_at", "benchmark_nu"])
+    def test_usage_error_exit_1(self, data_csv, model_config, tmp_path, capsys, command,
+                                config):
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(data_csv), "--output", str(model),
+                     *SCHEMA_FLAGS]) == 0
+        io_flags = {
+            "jitter": ["--input", str(data_csv), "--output", str(tmp_path / "j.csv"),
+                       *SCHEMA_FLAGS],
+            "fit": ["--input", str(data_csv), "--output", str(tmp_path / "f.bin"),
+                    *SCHEMA_FLAGS],
+            "eval": ["--model", str(model)],
+            "benchmark": ["--model-config", str(model_config), "--n-grid", "50",
+                          "--seeds", "1", "--output", str(tmp_path / "b.csv")],
+        }[command[0]]
+        argv = [*command, *io_flags]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "jitterkit: usage error" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["jitter", "fit"])
+    def test_seed_of_any_size(self, data_csv, tmp_path, capsys, command):
+        out = [tmp_path / "a.out", tmp_path / "b.out"]
+        for path, seed in zip(out, (HUGE, HUGE + "1")):
+            assert main([command, "--input", str(data_csv), "--output", str(path),
+                         *SCHEMA_FLAGS, "--seed", seed]) == 0
+        assert out[0].read_bytes() != out[1].read_bytes()
+        if command == "fit":
+            # the artifact keeps the seed, and its reload refits with it
+            assert main(["eval", "--model", str(out[0]), "--functional", "density",
+                         "--at", "z=1,x=0"]) == 0
+            assert float(capsys.readouterr().out.splitlines()[1].split(",")[4]) > 0.0
+
+
 class TestListOptions:
     """List-valued options: comma-separated on the command line, a comma-
     separated string or a JSON list in a config file."""

@@ -472,6 +472,116 @@ class TestEvalMemory:
         assert peak < n * 8
 
 
+def _accumulator_weights(self, rows, columns, point, h):
+    """Product-kernel weights as they were built before the e^-700 floor:
+    accumulated into zeros (Gaussian) or ones (Epanechnikov), then one
+    plain ``np.exp`` that lets far lanes underflow."""
+    acc = np.zeros(len(rows)) if self.name == "gaussian" else np.ones(len(rows))
+    for c, p, hj in zip(columns, point, h):
+        u = np.square((rows[:, c] - p) / hj)
+        acc = acc + u if self.name == "gaussian" else acc * np.maximum(1.0 - u, 0.0)
+    k = len(columns)
+    if self.name == "gaussian":
+        return np.exp(-0.5 * acc) * (2.0 * math.pi) ** (-0.5 * k)
+    return acc * 0.75**k
+
+
+def _half_squared_norms(rows, columns, point, h):
+    """0.5 * sum_j u_j^2 in the order product_weights accumulates it."""
+    acc = np.zeros(len(rows))
+    for c, p, hj in zip(columns, point, h):
+        acc = acc + np.square((rows[:, c] - p) / hj)
+    return 0.5 * acc
+
+
+class TestExpFloor:
+    """Gaussian weights below e^-700 are exact zeros, so no lane takes
+    numpy's exp-underflow slow path; every other weight is what the
+    zeros/ones accumulator and a plain exp gave."""
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_product_weights_match_accumulator(self, kernel_name, k):
+        # u from 0 to 60 crosses the cut at 0.5 u^2 = 700 (u = 37.42) and
+        # the old underflow edge at 0.5 u^2 = 745.13 (u = 38.60): one block
+        # sweeps every column along u / sqrt(k), two mix in uniform columns
+        kernel = get_kernel(kernel_name)
+        grid = np.linspace(0.0, 60.0, 6001)
+        rng = np.random.default_rng(k)
+        sweep = np.column_stack([grid / math.sqrt(max(k, 1))] * 3)
+        wide, narrow = sweep.copy(), sweep.copy()
+        wide[:, 0] = rng.uniform(0.0, 60.0, grid.size)
+        narrow[:, 1] = rng.uniform(0.0, 3.0, grid.size)
+        rows = np.concatenate([sweep, wide, narrow])
+        columns, point, h = [0, 1, 2][:k], [0.3, -0.2, 0.1][:k], [1.0, 0.9, 1.1][:k]
+        got = kernel.product_weights(rows, columns, point, h)
+        old = _accumulator_weights(kernel, rows, columns, point, h)
+        if kernel_name == "gaussian":
+            kept = _half_squared_norms(rows, columns, point, h) <= 700.0
+            assert kept.any() and (k == 0 or not kept.all())
+            assert_array_equal(got[kept], old[kept])
+            assert np.all(got[~kept] == 0.0)
+            assert np.any(old[~kept] > 0.0) or k == 0  # the old weights there were subnormal
+        else:
+            assert_array_equal(got, old)
+        if k == 0:
+            assert_array_equal(got, np.ones(len(rows)))
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_empty_and_one_row(self, kernel_name, k):
+        kernel = get_kernel(kernel_name)
+        columns, point, h = range(k), np.zeros(k), np.ones(k)
+        empty = kernel.product_weights(np.empty((0, 3)), columns, point, h)
+        assert empty.shape == (0,) and empty.dtype == float
+        for u in (0.0, 0.5, 37.0, 38.0, 60.0):
+            row = np.full((1, 3), u)
+            assert_array_equal(kernel.product_weights(row, columns, point, h),
+                               _accumulator_weights(kernel, row, columns, point, h)
+                               if kernel_name == "epanechnikov" or 0.5 * k * u * u <= 700.0
+                               else [0.0])
+
+    def test_profile_floor(self):
+        kernel = get_kernel("gaussian")
+        assert kernel.profile(np.empty(0)).shape == (0,)
+        u = np.array([0.0, 1.0, 37.4, 37.5, 38.0, 60.0, np.inf])
+        want = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        want[0.5 * u * u > 700.0] = 0.0
+        assert_array_equal(kernel.profile(u), want)
+        assert kernel.profile(-38.0) == 0.0
+        assert kernel.profile(1.0) == want[1]
+        assert np.isnan(kernel.profile(np.array([np.nan, 40.0]))[0])
+
+    @pytest.mark.parametrize("estimator", ["gaussian", "epanechnikov", "loclin"])
+    def test_eval_battery_matches_accumulator(self, estimator, monkeypatch):
+        # 160 points on and far beyond the data; values far out are exact zeros
+        ds = _mixed_dataset(1, 3000, seed=40)
+        ds = MixedDataset(ds.schema[:2], ds.rows[:, :2])
+        if estimator == "loclin":
+            model = fit_loclin(ds, 1, SPEC, num_jitters=2, seed=41)
+            points = [[z] for z in np.concatenate([np.linspace(-3.0, 7.0, 150),
+                                                   [-40.0, -12.0, 11.0, 20.0, 60.0, 1e3,
+                                                    -1e3, 1e6, 1e10, -1e10]])]
+            evaluate = loclin_eval
+        else:
+            model = fit_kde(ds, SPEC, kernel=get_kernel(estimator), num_jitters=2, seed=41)
+            points = [[z, x] for z in np.linspace(-1.0, 6.0, 12) for x in np.linspace(-4.0, 8.0, 12)]
+            points += [[-40.0, 0.0], [1.0, 30.0], [20.0, 20.0], [1e3, 1e3], [-1e6, 2.0],
+                       [2.0, 1e10], [6.0, 6.0], [-3.0, 9.0], [8.0, -5.0], [0.0, 12.0],
+                       [3.0, -9.0], [-2.0, -2.0], [12.0, 3.0], [1.0, 1e10], [4.0, -30.0],
+                       [-1e10, 1.0]]
+            evaluate = kde_eval
+        got = [_outcome(evaluate, model, p) for p in points]
+        monkeypatch.setattr(estimators.Kernel, "product_weights", _accumulator_weights)
+        want = [_outcome(evaluate, model, p) for p in points]
+        assert len(points) >= 150
+        assert got == want
+        if estimator != "loclin":
+            assert 0.0 in got  # points beyond the data stay exact zeros
+        else:
+            assert "NoLocalDataError" in got  # and beyond them no local data
+
+
 class TestSerialization:
     def test_kde_round_trip(self, tmp_path, binom43):
         ds = discrete_dataset(binom43, 120, seed=7)
@@ -489,6 +599,15 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         assert loclin_eval(loaded, [0.5]) == loclin_eval(model, [0.5])
+
+    def test_seed_beyond_float_range_round_trips(self, tmp_path, binom43):
+        ds = discrete_dataset(binom43, 60, seed=8)
+        model = fit_kde(ds, SPEC, num_jitters=2, seed=10**400)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.seed == 10**400
+        assert kde_eval(loaded, [1.3]) == kde_eval(model, [1.3])
 
     def test_identical_fits_identical_bytes(self, tmp_path, binom43):
         ds = discrete_dataset(binom43, 120, seed=7)

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since the test process itself has
 long since imported scipy.stats and friends.
 """
 
+import ast
 import json
 import os
 import re
@@ -112,3 +113,15 @@ def test_no_module_uses_pickle():
     assert sources
     for path in sources:
         assert not re.search(r"\bpickle\b", path.read_text(encoding="utf-8")), path.name
+
+
+def test_estimators_exp_goes_through_the_floor():
+    # a second exp in estimators.py could bring back numpy's slow
+    # exp-underflow path: the only one is the e^-700 floor's, in _exp
+    tree = ast.parse((SRC / "jitterkit" / "estimators.py").read_text(encoding="utf-8"))
+    uses = [node for node in ast.walk(tree)
+            if getattr(node, "attr", getattr(node, "id", None)) == "exp"]
+    helper = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_exp")
+    assert len(uses) == 1
+    assert uses[0] in list(ast.walk(helper))

@@ -14,6 +14,7 @@ from jitterkit import (
     NoiseSpec,
     beta_cdf,
     eta_density,
+    noise_stream,
     sample_noise,
     verify_membership,
 )
@@ -44,6 +45,41 @@ class TestNoiseSpec:
     def test_negative_dims_rejected(self):
         with pytest.raises(InvalidParameterError):
             NoiseSpec(theta=0.5, nu=2, dims=-1)
+
+
+# integers no float64 holds: each entry point must check them as integers
+_HUGE = 10**400
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("call", [
+        lambda: NoiseSpec(theta=0.5, nu=_HUGE, dims=1),
+        lambda: NoiseSpec(theta=0.5, nu=2, dims=_HUGE),
+        lambda: NoiseSpec(theta=_HUGE, nu=2, dims=1),
+        lambda: NoiseSpec(theta=0.5, nu=-_HUGE, dims=1),
+        lambda: beta_cdf(_HUGE, 0.5),
+        lambda: noise_stream(-_HUGE),
+        lambda: noise_stream(0, replicate_index=-_HUGE),
+    ], ids=["nu", "dims", "theta", "negative_nu", "beta_cdf_nu", "negative_seed",
+            "negative_replicate"])
+    def test_rejected_as_invalid_parameter(self, call):
+        with pytest.raises(InvalidParameterError):
+            call()
+
+    @pytest.mark.parametrize("seed", [2**64, _HUGE, 10**4000], ids=["2^64", "10^400", "10^4000"])
+    def test_seed_of_any_size(self, seed):
+        spec = NoiseSpec(theta=0.8, nu=5, dims=1)
+        a = sample_noise(spec, seed=seed, count=50, replicate_index=1)
+        assert_array_equal(a, sample_noise(spec, seed=seed, count=50, replicate_index=1))
+        assert not np.array_equal(a, sample_noise(spec, seed=seed + 1, count=50,
+                                                  replicate_index=1))
+
+    def test_whole_floats_and_numpy_integers_still_count(self):
+        spec = NoiseSpec(theta=0.5, nu=5.0, dims=np.int64(2))
+        assert (spec.nu, spec.dims) == (5, 2)
+        assert type(spec.nu) is int and type(spec.dims) is int
+        with pytest.raises(InvalidParameterError):
+            NoiseSpec(theta=0.5, nu=2.5, dims=1)
 
 
 class TestBetaCdf:

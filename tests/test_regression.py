@@ -204,6 +204,22 @@ class TestQueryValidation:
             FunctionalQuery(kind="cdf", response_index=0, response_kind="continuous",
                             threshold=value)
 
+    @pytest.mark.parametrize("query", [
+        dict(kind="cdf", response_kind="discrete", threshold=10**400),
+        dict(kind="cdf", response_kind="continuous", threshold=-10**400),
+        dict(kind="mean", response_kind="discrete", covariate_point={1: 10**400}),
+        dict(kind="quantile", response_kind="continuous", alpha=0.5,
+             covariate_point={1: 0.0, 2: -10**400}),
+    ], ids=["discrete_threshold", "continuous_threshold", "covariate", "second_covariate"])
+    def test_integer_beyond_float_range(self, query):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            FunctionalQuery(response_index=0, **query)
+
+    def test_large_integer_threshold_within_float_range(self):
+        q = FunctionalQuery(kind="cdf", response_index=0, response_kind="discrete",
+                            threshold=10**300)
+        assert q.threshold == 10**300
+
     def test_covariate_point_includes_response(self):
         with pytest.raises(InvalidParameterError):
             FunctionalQuery(kind="mean", response_index=0, response_kind="discrete",
@@ -597,6 +613,87 @@ class TestContinuousQuantileWork:
         q = cond_quantile(model, FunctionalQuery("quantile", 1, "continuous", alpha=alpha)).value
         assert len(calls) <= bound
         assert q == pytest.approx(0.2 + h, abs=1e-8)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    method = getattr(Kernel, name)
+    monkeypatch.setattr(Kernel, name,
+                        lambda self, *args: calls.append(1) or method(self, *args))
+    return calls
+
+
+class TestKdeSliceWork:
+    """A KDE slice takes each kernel CDF pass once: the window's ends when
+    it is built, then each new threshold; classify builds the covariate
+    weights once. Kept passes give the values fresh ones give."""
+
+    def test_cond_mean_kernel_cdf_calls(self, monkeypatch):
+        # the floor and the top, shared by the denominator and the moment
+        model = _zx_kde("gaussian", 300, seed=80)
+        calls = _counting(monkeypatch, "cdf")
+        cond_mean(model, FunctionalQuery("mean", 0, "discrete", {1: 0.4}))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.7, 0.99])
+    def test_discrete_quantile_carries_segment_cdf(self, alpha, monkeypatch):
+        # each integer segment's upper CDF is the next one's lower: one new
+        # pass per integer end inside the window, beside the window's ends
+        model = _zx_kde("gaussian", 300, seed=81)
+        sl = response_slice(model, 0, {1: 0.4})
+        calls = _counting(monkeypatch, "cdf")
+        q = cond_quantile(model, FunctionalQuery("quantile", 0, "discrete", {1: 0.4},
+                                                 alpha=alpha)).value
+        lo = math.floor(sl.response_min) - 2
+        assert len(calls) == 2 + sum(sl.lower < t < sl.upper for t in range(lo, int(q) + 1))
+
+    def test_classify_builds_covariate_weights_once(self, monkeypatch):
+        ds = _two_class_dataset(300, seed=82)
+        model = fit_kde(ds, NoiseSpec(0.8, 5, dims=2), num_jitters=3, seed=83)
+        q = FunctionalQuery("class_probs", 0, "discrete", {2: 0.1}, class_columns=(0, 1))
+        weights = _counting(monkeypatch, "product_weights")
+        cdfs = _counting(monkeypatch, "cdf")
+        classify(model, q)
+        assert len(weights) == 3
+        assert len(cdfs) == 2 * 2
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_classify_is_the_class_means(self, kernel_name):
+        ds = _two_class_dataset(300, seed=84)
+        model = fit_kde(ds, NoiseSpec(0.8, 5, dims=2), kernel=get_kernel(kernel_name),
+                        num_jitters=2, seed=85)
+        for x0 in (-1.0, 0.3, 2.0):
+            means = [cond_mean(model, FunctionalQuery("mean", c, "discrete", {2: x0})).value
+                     for c in (0, 1)]
+            probs = np.clip(means, 0.0, 1.0)
+            q = FunctionalQuery("class_probs", 0, "discrete", {2: x0}, class_columns=(0, 1))
+            assert classify(model, q).value.tolist() == (probs / probs.sum()).tolist()
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_kept_passes_equal_fresh_ones(self, kernel_name):
+        model = _zx_kde(kernel_name, 300, seed=86)
+        point = {0: 1.0}
+        kept = response_slice(model, 1, point)
+        ts = [kept.lower, -1.0, 0.25, 0.25, 1.5, kept.upper, 40.0]
+        for a, b in zip(ts, ts[1:]):
+            for name in ("integral", "first_moment"):
+                fresh = response_slice(model, 1, point)
+                assert getattr(kept, name)(a, b) == getattr(fresh, name)(a, b), (name, a, b)
+            assert kept.density(b) == response_slice(model, 1, point).density(b), b
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_density_offsets_are_symmetric(self, kernel_name):
+        # the density reuses (t - resp) / h of the CDF just taken at t; the
+        # kernel is symmetric, so it equals the sum over (resp - t) / h
+        model = _zx_kde(kernel_name, 300, seed=87)
+        kernel = model.kernel
+        h = float(model.effective_bandwidths[1])
+        resp = np.concatenate([rep.rows[:, 1] for rep in model.replicates])
+        sl = response_slice(model, 1, {})
+        for t in (-2.0, 0.0, 0.7, 1.3, 4.0):
+            sl.integral(sl.lower, t)
+            want = float(kernel.profile((resp - t) / h).sum()) / (len(resp) * h)
+            assert sl.density(t) == want
 
 
 _KDE_PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
