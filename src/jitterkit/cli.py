@@ -2,8 +2,12 @@
 
 Subcommands: jitter, fit, eval, verify, simulate, benchmark. Every
 subcommand is deterministic given --seed (default 0). Option precedence
-is flags > config file > built-in defaults. Exit codes: 0 success,
-1 usage error, 2 data error, 3 numerical or verification failure.
+is flags > config file > built-in defaults. A --config file is a JSON
+object keyed by the subcommand's option names with ``_`` (``grid_points``,
+``n_grid``); each value is checked as its flag's is, a list stands for
+its comma-joined items, a switch is set by ``true``, and keys that name no
+option, and null values, are ignored. Exit codes: 0 success, 1 usage error, 2 data error,
+3 numerical or verification failure.
 """
 
 from __future__ import annotations
@@ -61,24 +65,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# documented defaults; --seed 0 keeps every run reproducible unless overridden
-DEFAULTS = {
-    "seed": 0,
-    "theta": 0.8,
-    "nu": 5,
-    "jitters": 1,
-    "kernel": "gaussian",
-    "replicate": 0,
-    "estimator": "kde",
-    "functional": "density",
-    "grid_points": 401,
-    "tol": 1e-8,
-    "count": 1000,
-    "n_grid": "500,2000,8000",
-    "seeds": 20,
-    "functionals": "kde_atom_mae",
-}
-
 _VERIFY_THETAS = (0.0, 0.4, 0.8)
 _VERIFY_NUS = (1, 2, 5)
 _BENCH_FUNCTIONALS = ("kde_atom_mae", "mean_abs_err")
@@ -94,11 +80,31 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise _UsageError(message)
 
+    def config_flags(self, cfg: dict) -> list[str]:
+        """The flags that set this parser's options to a config's values.
+
+        A key is an option's name with ``_`` (``grid_points``); keys that
+        name no option, and ``null`` values, are ignored. A list gives its
+        items joined with commas, and a switch is set by ``true`` and left
+        off by ``false``.
+        """
+        flags = []
+        for action in self._actions:
+            if cfg.get(action.dest) is None or action.dest == "help":
+                continue
+            value, flag = cfg[action.dest], action.option_strings[-1]
+            if action.nargs == 0 and isinstance(value, bool):
+                flags += [flag] if value else []
+            else:
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                flags.append(f"{flag}={text}")
+        return flags
+
 
 def _add_noise_opts(p):
-    p.add_argument("--theta", type=float, default=None, help="noise shoulder width in [0, 1)")
-    p.add_argument("--nu", type=int, default=None, help="noise smoothness (positive integer)")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    p.add_argument("--theta", type=float, default=0.8, help="noise shoulder width in [0, 1)")
+    p.add_argument("--nu", type=int, default=5, help="noise smoothness (positive integer)")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
 
 
 def _add_schema_opts(p):
@@ -118,7 +124,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("jitter", parents=[], help="jitter a CSV dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--replicate", type=int, default=None, help="replicate index (default 0)")
+    p.add_argument("--replicate", type=int, default=0, help="replicate index (default %(default)s)")
     _add_schema_opts(p)
     _add_noise_opts(p)
     _add_config_opt(p)
@@ -127,12 +133,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit a jittered estimator and save the model")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="model artifact path")
-    p.add_argument("--estimator", choices=("kde", "loclin"), default=None)
+    p.add_argument("--estimator", choices=("kde", "loclin"), default="kde")
     p.add_argument("--response", default=None, help="response column name (loclin)")
     p.add_argument("--jitter-response", action="store_true",
                    help="jitter a discrete response too (loclin)")
-    p.add_argument("--jitters", type=int, default=None, help="number of jitter replicates")
-    p.add_argument("--kernel", choices=("gaussian", "epanechnikov"), default=None)
+    p.add_argument("--jitters", type=int, default=1, help="number of jitter replicates")
+    p.add_argument("--kernel", choices=("gaussian", "epanechnikov"), default="gaussian")
     p.add_argument("--bandwidth", default=None,
                    help="override: one value or comma-separated per column")
     _add_schema_opts(p)
@@ -142,7 +148,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate a fitted model")
     p.add_argument("--model", required=True, help="model artifact path")
-    p.add_argument("--functional", default=None,
+    p.add_argument("--functional", default="density",
                    choices=("density", "mean", "cdf", "quantile", "class_probs"))
     p.add_argument("--response", default=None, help="response column name")
     p.add_argument("--at", default=None, help="covariate point, e.g. 'z=2,x=0.5'")
@@ -156,27 +162,27 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the noise and density identity checks")
     p.add_argument("--theta", type=float, default=None, help="check a single theta")
     p.add_argument("--nu", type=int, default=None, help="check a single nu")
-    p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--grid-points", type=int, default=401)
+    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--corrupt-eta-scale", type=float, default=None, help=argparse.SUPPRESS)
     _add_config_opt(p)
     p.set_defaults(func=run_verify)
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset to CSV")
     p.add_argument("--model-config", required=True, help="JSON synthetic model config")
-    p.add_argument("--count", type=int, default=None, help="number of rows")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--count", type=int, default=1000, help="number of rows")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     _add_config_opt(p)
     p.set_defaults(func=run_simulate)
 
     p = sub.add_parser("benchmark", help="empirical error vs sample size study")
     p.add_argument("--model-config", required=True, help="JSON synthetic model config")
-    p.add_argument("--n-grid", default=None, help="comma-separated sample sizes")
-    p.add_argument("--seeds", type=int, default=None, help="number of replications per n")
-    p.add_argument("--jitters", type=int, default=None)
-    p.add_argument("--kernel", choices=("gaussian", "epanechnikov"), default=None)
-    p.add_argument("--functionals", default=None,
+    p.add_argument("--n-grid", default="500,2000,8000", help="comma-separated sample sizes")
+    p.add_argument("--seeds", type=int, default=20, help="number of replications per n")
+    p.add_argument("--jitters", type=int, default=1)
+    p.add_argument("--kernel", choices=("gaussian", "epanechnikov"), default="gaussian")
+    p.add_argument("--functionals", default="kde_atom_mae",
                    help=f"comma-separated subset of {_BENCH_FUNCTIONALS}")
     p.add_argument("--workers", type=int, default=None,
                    help="ignored, kept only so older configs still parse: "
@@ -186,35 +192,32 @@ def build_parser() -> _Parser:
     _add_config_opt(p)
     p.set_defaults(func=run_benchmark)
 
+    parser.commands = sub.choices  # each subcommand's parser, by name, for --config
     return parser
 
 
-def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
+def _with_config(parser: _Parser, argv, args) -> argparse.Namespace:
+    """``args`` parsed again with the --config file's values as flags put
+    right after the subcommand: argparse checks each value's type and
+    choices as it checks the flag's, and a flag on the command line, which
+    comes later, wins."""
+    if args.config is None:
+        return args
+    with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise IngestionError(f"{path}: config must be a JSON object")
-    return cfg
-
-
-def _opt(args, cfg: dict, key: str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cfg[key]
-    return DEFAULTS.get(key)
+        raise IngestionError(f"{args.config}: config must be a JSON object")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    at = argv.index(args.command) + 1
+    flags = parser.commands[args.command].config_flags(cfg)
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def _split_names(value) -> list[str]:
-    """The items of a comma-separated flag, or of a config file's JSON list."""
+    """The items of a comma-separated option."""
     if not value:
         return []
-    items = value if isinstance(value, list) else str(value).split(",")
-    return [str(t).strip() for t in items if str(t).strip()]
+    return [t.strip() for t in value.split(",") if t.strip()]
 
 
 def _split_numbers(value, kind, flag: str) -> list:
@@ -232,14 +235,14 @@ def _read_header(path) -> list[str]:
     return header
 
 
-def _schema_from_flags(path, args, cfg) -> list[ColumnSchema]:
+def _schema_from_flags(path, args) -> list[ColumnSchema]:
     kinds = {}
     for flag, kind in (
         ("discrete", "discrete_ordered"),
         ("continuous", "continuous"),
         ("categorical", "categorical"),
     ):
-        for name in _split_names(_opt(args, cfg, flag)):
+        for name in _split_names(getattr(args, flag)):
             if name in kinds:
                 raise IngestionError(f"column {name!r} assigned more than one kind")
             kinds[name] = kind
@@ -253,8 +256,8 @@ def _schema_from_flags(path, args, cfg) -> list[ColumnSchema]:
     return [ColumnSchema(name, kinds[name]) for name in header]
 
 
-def _noise_spec(args, cfg, dims: int) -> NoiseSpec:
-    return NoiseSpec(theta=_opt(args, cfg, "theta"), nu=_opt(args, cfg, "nu"), dims=dims)
+def _noise_spec(args, dims: int) -> NoiseSpec:
+    return NoiseSpec(theta=args.theta, nu=args.nu, dims=dims)
 
 
 def _parse_bandwidth(text):
@@ -298,44 +301,28 @@ def _write_rows(path, header: list[str], rows: list[list]) -> None:
 
 
 def run_jitter(args) -> int:
-    cfg = _load_config(args)
-    schema = _schema_from_flags(args.input, args, cfg)
-    dataset = load_csv(args.input, schema)
-    spec = _noise_spec(args, cfg, dims=len(dataset.indices_of_kind("discrete_ordered")))
-    jittered = jitter(
-        dataset, spec, seed=int(_opt(args, cfg, "seed")),
-        replicate_index=int(_opt(args, cfg, "replicate")),
-    )
+    dataset = load_csv(args.input, _schema_from_flags(args.input, args))
+    spec = _noise_spec(args, dims=len(dataset.indices_of_kind("discrete_ordered")))
+    jittered = jitter(dataset, spec, seed=args.seed, replicate_index=args.replicate)
     write_csv(jittered, args.output)
     return EXIT_OK
 
 
 def run_fit(args) -> int:
-    cfg = _load_config(args)
-    schema = _schema_from_flags(args.input, args, cfg)
-    dataset = load_csv(args.input, schema)
+    dataset = load_csv(args.input, _schema_from_flags(args.input, args))
     for col in list(dataset.schema):
         if col.kind == "categorical":
             dataset = dummy_code(dataset, col.name)
-    spec = _noise_spec(args, cfg, dims=len(dataset.indices_of_kind("discrete_ordered")))
-    kernel = get_kernel(str(_opt(args, cfg, "kernel")))
-    jitters = int(_opt(args, cfg, "jitters"))
-    seed = int(_opt(args, cfg, "seed"))
-    bandwidth = _parse_bandwidth(_opt(args, cfg, "bandwidth"))
-    estimator = str(_opt(args, cfg, "estimator"))
-    if estimator == "loclin":
-        response = _opt(args, cfg, "response")
-        if response is None:
+    spec = _noise_spec(args, dims=len(dataset.indices_of_kind("discrete_ordered")))
+    fit_opts = dict(kernel=get_kernel(args.kernel), num_jitters=args.jitters, seed=args.seed,
+                    bandwidth=_parse_bandwidth(args.bandwidth))
+    if args.estimator == "loclin":
+        if args.response is None:
             raise InvalidParameterError("loclin fits need --response")
-        model = fit_loclin(
-            dataset, dataset.column_index(str(response)), spec,
-            kernel=kernel, num_jitters=jitters, seed=seed, bandwidth=bandwidth,
-            jitter_response=bool(args.jitter_response),
-        )
+        model = fit_loclin(dataset, dataset.column_index(args.response), spec,
+                           jitter_response=args.jitter_response, **fit_opts)
     else:
-        model = fit_kde(
-            dataset, spec, kernel=kernel, num_jitters=jitters, seed=seed, bandwidth=bandwidth,
-        )
+        model = fit_kde(dataset, spec, **fit_opts)
     save_model(model, args.output)
     return EXIT_OK
 
@@ -345,10 +332,9 @@ def _response_kind_of(model, index: int) -> str:
 
 
 def run_eval(args) -> int:
-    cfg = _load_config(args)
     model = load_model(args.model)
-    functional = str(_opt(args, cfg, "functional"))
-    at = _parse_point(_opt(args, cfg, "at"))
+    functional = args.functional
+    at = _parse_point(args.at)
     names = [c.name for c in model.schema]
     for name in at:
         _column_index(names, name, "--at")
@@ -377,13 +363,13 @@ def run_eval(args) -> int:
         _write_rows(args.output, header, [["density", "", "", at_text, repr(value), ""]])
         return EXIT_OK
 
-    response = _opt(args, cfg, "response")
+    response = args.response
     if functional != "class_probs" and response is None:
         raise InvalidParameterError(f"--response is required for {functional}")
     covariate_point = {names.index(n): v for n, v in at.items()}
 
     if functional == "class_probs":
-        class_names = _split_names(_opt(args, cfg, "classes"))
+        class_names = _split_names(args.classes)
         if not class_names:
             raise InvalidParameterError("class_probs needs --classes")
         class_cols = tuple(_column_index(names, n, "--classes") for n in class_names)
@@ -400,33 +386,29 @@ def run_eval(args) -> int:
         _write_rows(args.output, header, rows)
         return EXIT_OK
 
-    r_index = _column_index(names, str(response), "--response")
+    r_index = _column_index(names, response, "--response")
     r_kind = _response_kind_of(model, r_index)
     query = FunctionalQuery(
         kind=functional,
         response_index=r_index,
         response_kind=r_kind,
         covariate_point=covariate_point,
-        threshold=_opt(args, cfg, "threshold"),
-        alpha=_opt(args, cfg, "alpha"),
+        threshold=args.threshold,
+        alpha=args.alpha,
     )
     est = {"mean": cond_mean, "cdf": cond_cdf, "quantile": cond_quantile}[functional](model, query)
     param = "" if functional == "mean" else repr(
-        float(query.threshold if functional == "cdf" else query.alpha)
+        args.threshold if functional == "cdf" else args.alpha
     )
     _write_rows(args.output, header,
-                [[functional, str(response), param, at_text, repr(float(est.value)),
+                [[functional, response, param, at_text, repr(float(est.value)),
                   repr(est.denominator_mass)]])
     return EXIT_OK
 
 
 def run_verify(args) -> int:
-    cfg = _load_config(args)
-    grid_points = int(_opt(args, cfg, "grid_points"))
-    tol = float(_opt(args, cfg, "tol"))
-    corrupt = _opt(args, cfg, "corrupt_eta_scale")
-    thetas = _VERIFY_THETAS if args.theta is None else (float(args.theta),)
-    nus = _VERIFY_NUS if args.nu is None else (int(args.nu),)
+    thetas = _VERIFY_THETAS if args.theta is None else (args.theta,)
+    nus = _VERIFY_NUS if args.nu is None else (args.nu,)
     battery = [(t, v) for t in thetas for v in nus]
 
     pmf = DiscretePmf.binomial(4, 0.3)
@@ -444,13 +426,11 @@ def run_verify(args) -> int:
         spec = NoiseSpec(theta=t, nu=v, dims=1)
         label = f"theta={t:g} nu={v}"
         density = None
-        if corrupt is not None:
-            scale = float(corrupt)
-            density = lambda x, _s=spec, _c=scale: _c * eta_density(_s, x)
-        report = verify_membership(spec, grid_points=grid_points, tol=tol, density=density)
-        f = density if density is not None else (lambda x, _s=spec: eta_density(_s, x))
-        plateau_grid = np.linspace(-spec.gamma1, spec.gamma1, 101)
-        plateau_dev = max(abs(f(x) - 1.0) for x in plateau_grid)
+        if args.corrupt_eta_scale is not None:
+            density = lambda x, _s=spec, _c=args.corrupt_eta_scale: _c * eta_density(_s, x)
+        report = verify_membership(spec, grid_points=args.grid_points, tol=args.tol,
+                                   density=density)
+        plateau_dev = report.max_abs_plateau_deviation
         record(label, "eta(0) == 1", report.value_at_zero, report.value_at_zero == 1.0)
         record(label, "plateau max|eta-1| <= 1e-12", plateau_dev, plateau_dev <= 1e-12)
         record(label, "eta == 0 outside support", report.max_abs_outside_support,
@@ -487,7 +467,7 @@ def run_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
-def _dataset_from_samples(model, rows: np.ndarray) -> MixedDataset:
+def _dataset_from_samples(rows: np.ndarray) -> MixedDataset:
     schema = [ColumnSchema("z", "discrete_ordered")]
     if rows.shape[1] == 2:
         schema.append(ColumnSchema("x", "continuous"))
@@ -495,25 +475,19 @@ def _dataset_from_samples(model, rows: np.ndarray) -> MixedDataset:
 
 
 def run_simulate(args) -> int:
-    cfg = _load_config(args)
     with open(args.model_config, encoding="utf-8") as fh:
         model = model_from_config(json.load(fh))
-    count = int(_opt(args, cfg, "count"))
-    seed = int(_opt(args, cfg, "seed"))
-    rows = sample_model(model, count, seed)
-    write_csv(_dataset_from_samples(model, rows), args.output)
+    rows = sample_model(model, args.count, args.seed)
+    write_csv(_dataset_from_samples(rows), args.output)
     return EXIT_OK
 
 
-def _bench_cell(model, spec_base, kernel_name, jitters, n, seed_idx, master_seed, functionals):
-    data_seed = _derived_seed(master_seed, n, seed_idx, 0)
-    fit_seed = _derived_seed(master_seed, n, seed_idx, 1)
-    rows = sample_model(model, n, data_seed)
-    dataset = _dataset_from_samples(model, rows)
-    spec = NoiseSpec(theta=spec_base.theta, nu=spec_base.nu,
-                     dims=len(dataset.indices_of_kind("discrete_ordered")))
-    kde = fit_kde(dataset, spec, kernel=get_kernel(kernel_name),
-                  num_jitters=jitters, seed=fit_seed)
+def _bench_cell(model, spec, args, n, seed_idx, functionals):
+    data_seed = _derived_seed(args.seed, n, seed_idx, 0)
+    fit_seed = _derived_seed(args.seed, n, seed_idx, 1)
+    dataset = _dataset_from_samples(sample_model(model, n, data_seed))
+    kde = fit_kde(dataset, spec, kernel=get_kernel(args.kernel),
+                  num_jitters=args.jitters, seed=fit_seed)
     pmf = model.margin
     out = {}
     if "kde_atom_mae" in functionals:
@@ -528,33 +502,28 @@ def _bench_cell(model, spec_base, kernel_name, jitters, n, seed_idx, master_seed
 
 
 def _derived_seed(master: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(master), spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(entropy=master, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def run_benchmark(args) -> int:
-    cfg = _load_config(args)
     with open(args.model_config, encoding="utf-8") as fh:
         model = model_from_config(json.load(fh))
-    n_grid = _split_numbers(_opt(args, cfg, "n_grid"), int, "--n-grid")
-    seeds = int(_opt(args, cfg, "seeds"))
-    jitters = int(_opt(args, cfg, "jitters"))
-    kernel_name = str(_opt(args, cfg, "kernel"))
-    master_seed = int(_opt(args, cfg, "seed"))
-    functionals = _split_names(_opt(args, cfg, "functionals"))
+    n_grid = _split_numbers(args.n_grid, int, "--n-grid")
+    functionals = _split_names(args.functionals)
     unknown = [f for f in functionals if f not in _BENCH_FUNCTIONALS]
     if unknown or not functionals:
         raise InvalidParameterError(
             f"functionals must be a nonempty subset of {_BENCH_FUNCTIONALS}, got {functionals}"
         )
-    if not n_grid or seeds < 1:
+    if not n_grid or args.seeds < 1:
         raise InvalidParameterError("need a nonempty n grid and seeds >= 1")
-    spec_base = NoiseSpec(theta=_opt(args, cfg, "theta"), nu=_opt(args, cfg, "nu"), dims=1)
+    spec = _noise_spec(args, dims=1)  # a sampled dataset has one discrete column, z
 
     results = {
-        (n, s): _bench_cell(model, spec_base, kernel_name, jitters, n, s, master_seed, functionals)
+        (n, s): _bench_cell(model, spec, args, n, s, functionals)
         for n in n_grid
-        for s in range(seeds)
+        for s in range(args.seeds)
     }
 
     rows = []
@@ -568,7 +537,7 @@ def run_benchmark(args) -> int:
     for functional in sorted(functionals):
         means = []
         for n in n_grid:
-            errs = [results[(n, s)][functional] for s in range(seeds)]
+            errs = [results[(n, s)][functional] for s in range(args.seeds)]
             means.append(float(np.mean(errs)))
             print(f"{functional:<16}{n:>8}  {means[-1]:>12.6f}")
         if len(n_grid) > 1 and all(m > 0 for m in means):
@@ -584,6 +553,7 @@ def main(argv=None) -> int:
     except _UsageError:
         return EXIT_USAGE
     try:
+        args = _with_config(parser, argv, args)
         return int(args.func(args))
     except _UsageError:
         return EXIT_USAGE

@@ -113,21 +113,23 @@ class Kernel:
         if not len(columns):
             return np.ones(len(rows))
         acc = None
-        for c, p, hj in zip(columns, point, h):
-            u = np.subtract(rows[:, c], p)
-            u /= hj
-            np.square(u, out=u)
-            if self.name != "gaussian":
-                # 1 - u^2 clipped at 0 is exactly 0 outside the support |u| <= 1
-                np.subtract(1.0, u, out=u)
-                np.maximum(u, 0.0, out=u)
-            # the first column's factor is the accumulator: 0 + u^2 and 1 * v are exact
-            if acc is None:
-                acc = u
-            elif self.name == "gaussian":
-                acc += u
-            else:
-                acc *= u
+        # a huge coordinate squares to u^2 = inf, whose weight is exactly 0
+        with np.errstate(over="ignore"):
+            for c, p, hj in zip(columns, point, h):
+                u = np.subtract(rows[:, c], p)
+                u /= hj
+                np.square(u, out=u)
+                if self.name != "gaussian":
+                    # 1 - u^2 clipped at 0 is exactly 0 outside the support |u| <= 1
+                    np.subtract(1.0, u, out=u)
+                    np.maximum(u, 0.0, out=u)
+                # the first column's factor is the accumulator: 0 + u^2 and 1 * v are exact
+                if acc is None:
+                    acc = u
+                elif self.name == "gaussian":
+                    acc += u
+                else:
+                    acc *= u
         k = len(columns)
         if self.name == "gaussian":
             acc *= -0.5

@@ -237,6 +237,35 @@ class SyntheticMixedModel:
 _MARGIN_FAMILIES = ("binomial", "bernoulli", "poisson_truncated")
 
 
+def _number(value, key: str, whole: bool = False):
+    """A model config's numeric field: a JSON number, a whole one if ``whole``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or (
+        whole and isinstance(value, float) and not value.is_integer()
+    ):
+        kind = "a whole number" if whole else "a number"
+        raise InvalidParameterError(f"model config field {key!r} must be {kind}, got {value!r}")
+    try:
+        return int(value) if whole else float(value)
+    except OverflowError:
+        raise InvalidParameterError(f"model config field {key!r} is too large") from None
+
+
+def _field(section: Mapping, key: str, whole: bool = False):
+    if key not in section:
+        raise InvalidParameterError(f"model config needs field {key!r}")
+    return _number(section[key], key, whole)
+
+
+def _affine(section: Mapping, key: str, default: tuple[float, float]) -> tuple[float, float]:
+    """An (intercept, slope) field given as one or two numbers; slope defaults to 0."""
+    items = section.get(key, default)
+    if not isinstance(items, (list, tuple)) or len(items) not in (1, 2):
+        raise InvalidParameterError(
+            f"model config field {key!r} must be one or two numbers, got {items!r}"
+        )
+    return _number(items[0], key), _number(items[1] if len(items) > 1 else 0.0, key)
+
+
 def model_from_config(config: Mapping) -> SyntheticMixedModel:
     """Build a synthetic model from a declarative config mapping.
 
@@ -247,20 +276,20 @@ def model_from_config(config: Mapping) -> SyntheticMixedModel:
 
     ``margin.family`` is one of binomial / bernoulli / poisson_truncated;
     ``continuous`` is optional, gaussian only, with ``mean`` and ``scale``
-    giving (intercept, slope) in the discrete value.
+    giving (intercept, slope) in the discrete value. A missing or mistyped
+    field raises :class:`InvalidParameterError`.
     """
-    try:
-        margin_cfg = dict(config["margin"])
-    except (KeyError, TypeError):
-        raise InvalidParameterError("model config needs a 'margin' section") from None
-    family = margin_cfg.pop("family", None)
+    margin_cfg = config.get("margin") if isinstance(config, Mapping) else None
+    if not isinstance(margin_cfg, Mapping):
+        raise InvalidParameterError("model config needs a 'margin' section")
+    family = margin_cfg.get("family")
     if family == "binomial":
-        margin = DiscretePmf.binomial(int(margin_cfg["n"]), float(margin_cfg["p"]))
+        margin = DiscretePmf.binomial(_field(margin_cfg, "n", whole=True), _field(margin_cfg, "p"))
     elif family == "bernoulli":
-        margin = DiscretePmf.bernoulli(float(margin_cfg["p"]))
+        margin = DiscretePmf.bernoulli(_field(margin_cfg, "p"))
     elif family == "poisson_truncated":
         margin = DiscretePmf.poisson_truncated(
-            float(margin_cfg["lam"]), int(margin_cfg["max_k"])
+            _field(margin_cfg, "lam"), _field(margin_cfg, "max_k", whole=True)
         )
     else:
         raise InvalidParameterError(
@@ -269,15 +298,12 @@ def model_from_config(config: Mapping) -> SyntheticMixedModel:
     cont_cfg = config.get("continuous")
     continuous = None
     if cont_cfg is not None:
+        if not isinstance(cont_cfg, Mapping):
+            raise InvalidParameterError("model config's 'continuous' section must be an object")
         if cont_cfg.get("family", "gaussian") != "gaussian":
             raise InvalidParameterError("only the gaussian conditional family is supported")
-        mean = list(cont_cfg.get("mean", (0.0, 0.0)))
-        scale = list(cont_cfg.get("scale", (1.0, 0.0)))
         continuous = GaussianConditional(
-            mean_intercept=float(mean[0]),
-            mean_slope=float(mean[1]) if len(mean) > 1 else 0.0,
-            scale_intercept=float(scale[0]),
-            scale_slope=float(scale[1]) if len(scale) > 1 else 0.0,
+            *_affine(cont_cfg, "mean", (0.0, 0.0)), *_affine(cont_cfg, "scale", (1.0, 0.0))
         )
     return SyntheticMixedModel(margin=margin, continuous=continuous)
 

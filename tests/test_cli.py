@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -61,14 +62,14 @@ DAMAGE_NAMED = {
 }
 
 
-class _WritesFile:
-    """Unpickles by creating the file at ``path``."""
+class _MakesDirectory:
+    """Unpickles by creating a directory at ``path``, leaving no open handle."""
 
     def __init__(self, path):
         self.path = str(path)
 
     def __reduce__(self):
-        return open, (self.path, "w")
+        return os.mkdir, (self.path,)
 
 
 class TestJitterCommand:
@@ -296,7 +297,7 @@ class TestFitEvalCommands:
             data = {"format": "jitterkit-model", "version": 1, "type": "kde",
                     "origin_rows": np.zeros((4, 2)), "replicates": [(0, np.zeros((4, 2)))]}
         else:
-            data = _WritesFile(marker)
+            data = _MakesDirectory(marker)
         model.write_bytes(pickle.dumps(data, protocol=4))
         code = main(["eval", "--model", str(model), "--functional", "density",
                      "--at", "z=2,x=0.0"])
@@ -304,7 +305,7 @@ class TestFitEvalCommands:
         assert code == 1
         assert "not a jitterkit model artifact" in captured.err
         assert not marker.exists()
-        pickle.loads(model.read_bytes())  # the guard: unpickling would leave the file
+        pickle.loads(model.read_bytes())  # the guard: unpickling would leave the marker
         assert marker.exists() == (payload == "reduce_marker")
 
     def test_replicate_drift_exit_3(self, data_csv, tmp_path, capsys):
@@ -388,9 +389,12 @@ class TestListOptions:
     @pytest.mark.parametrize("argv, config", [
         (["fit", "--bandwidth", "abc"], None),
         (["fit"], {"bandwidth": [0.3, "abc"]}),
+        (["fit"], {"bandwidth": "0.3,abc"}),
         (["benchmark", "--n-grid", "50,abc"], None),
         (["benchmark"], {"n_grid": [50, "abc"]}),
-    ], ids=["bandwidth_flag", "bandwidth_config", "n_grid_flag", "n_grid_config"])
+        (["benchmark"], {"n_grid": [50, 2.5]}),
+    ], ids=["bandwidth_flag", "bandwidth_config", "bandwidth_config_text", "n_grid_flag",
+            "n_grid_config", "n_grid_config_fraction"])
     def test_non_numeric_item_exit_1(self, data_csv, model_config, tmp_path, capsys,
                                      argv, config):
         code = main(self._argv(argv, config, data_csv, model_config, tmp_path / "out"))
@@ -402,10 +406,15 @@ class TestListOptions:
 
     @pytest.mark.parametrize("argv, config", [
         (["fit", "--bandwidth", "0.3,0.4"], {"bandwidth": [0.3, 0.4]}),
+        (["fit", "--bandwidth", "0.3,0.4"], {"bandwidth": "0.3,0.4"}),
+        (["fit", "--bandwidth", "0.35"], {"bandwidth": [0.35]}),
         (["benchmark", "--n-grid", "50,100"], {"n_grid": [50, 100]}),
+        (["benchmark", "--n-grid", "50,100"], {"n_grid": "50, 100"}),
         (["benchmark", "--functionals", "kde_atom_mae,mean_abs_err"],
          {"functionals": ["kde_atom_mae", "mean_abs_err"]}),
-    ], ids=["bandwidth", "n_grid", "functionals"])
+        (["benchmark", "--functionals", "mean_abs_err"], {"functionals": ["mean_abs_err"]}),
+    ], ids=["bandwidth", "bandwidth_text", "bandwidth_one", "n_grid", "n_grid_text",
+            "functionals", "functionals_one"])
     def test_config_list_matches_flag(self, data_csv, model_config, tmp_path, capsys,
                                       argv, config):
         outputs = []
@@ -428,7 +437,127 @@ class TestListOptions:
         return argv + ["--output", str(out)]
 
 
+# values for every value option of every subcommand; given as flags or in
+# a --config file, they must print and write the same bytes
+CONFIG_CASES = {
+    "jitter": ("jitter", {"discrete": "z", "continuous": "x", "theta": 0.4, "nu": 2,
+                          "seed": 3, "replicate": 2}),
+    "jitter_categorical": ("jitter", {"discrete": ["z"], "categorical": ["x"]}),
+    "fit_kde": ("fit", {"discrete": "z", "continuous": "x", "kernel": "epanechnikov",
+                        "jitters": 2, "seed": 5, "theta": 0.6, "nu": 3,
+                        "bandwidth": [0.4, 0.5]}),
+    "fit_loclin": ("fit", {"discrete": "z", "continuous": "x", "estimator": "loclin",
+                           "response": "z", "jitter_response": True}),
+    "eval_density": ("eval", {"functional": "density", "at": "z=2,x=0.5"}),
+    "eval_mean": ("eval", {"functional": "mean", "response": "z", "at": "x=0.5"}),
+    "eval_cdf": ("eval", {"functional": "cdf", "response": "x", "threshold": 0.25,
+                          "at": "z=1"}),
+    "eval_quantile": ("eval", {"functional": "quantile", "response": "z", "alpha": 0.7}),
+    "eval_class_probs": ("eval", {"functional": "class_probs", "classes": ["c=a", "c=b"],
+                                  "at": "x=0.1"}),
+    "verify": ("verify", {"theta": 0.4, "nu": 2, "grid_points": 51, "tol": 1e-6}),
+    "verify_corrupt": ("verify", {"theta": 0.8, "corrupt_eta_scale": 1.5}),
+    "simulate": ("simulate", {"count": 30, "seed": 6}),
+    "benchmark": ("benchmark", {"n_grid": [50, 80], "seeds": 2, "jitters": 2,
+                                "kernel": "epanechnikov",
+                                "functionals": "kde_atom_mae,mean_abs_err",
+                                "theta": 0.5, "nu": 2, "seed": 4, "workers": 2}),
+}
+
+# config values that each flag would refuse; none may be read another way
+BAD_CONFIGS = {
+    "seed_fraction": ("jitter", {"seed": 2.5}),
+    "jitters_fraction": ("fit", {"jitters": 2.9}),
+    "estimator_choice": ("fit", {"estimator": "locline"}),
+    "seeds_bool": ("benchmark", {"seeds": True}),
+    "count_word": ("simulate", {"count": "ten"}),
+    "functional_choice": ("eval", {"functional": "means"}),
+    "switch_word": ("fit", {"jitter_response": "yes"}),
+    "verify_theta_word": ("verify", {"theta": "wide"}),
+}
+
+
+def _as_flags(options: dict) -> list[str]:
+    flags = []
+    for key, value in options.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        else:
+            flags += [flag, ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    return flags
+
+
 class TestConfigPrecedence:
+    @staticmethod
+    def _io(command, options, data_csv, model_config, tmp_path, out) -> list[str]:
+        """The path flags of ``command``; an eval fits its model first."""
+        if command in ("jitter", "fit"):
+            return ["--input", str(data_csv), "--output", str(out)]
+        if command in ("simulate", "benchmark"):
+            return ["--model-config", str(model_config), "--output", str(out)]
+        if command == "verify":
+            return []
+        model = tmp_path / "m.bin"
+        if "classes" in options:
+            path = tmp_path / "c.csv"
+            path.write_text("c,x\na,0.1\nb,0.7\na,-0.4\nb,1.2\na,0.3\nb,-0.2\n",
+                            encoding="utf-8")
+            fit = ["--input", str(path), "--categorical", "c", "--continuous", "x"]
+        else:
+            fit = ["--input", str(data_csv), *SCHEMA_FLAGS, "--jitters", "2"]
+        assert main(["fit", *fit, "--output", str(model)]) == 0
+        return ["--model", str(model), "--output", str(out)]
+
+    @pytest.mark.parametrize("command, options", CONFIG_CASES.values(), ids=CONFIG_CASES)
+    def test_config_matches_flags(self, data_csv, model_config, tmp_path, capsys, command,
+                                  options):
+        outputs = []
+        for source in ("flags", "config"):
+            out = tmp_path / source
+            argv = [command, *self._io(command, options, data_csv, model_config, tmp_path,
+                                       out)]
+            if source == "flags":
+                argv += _as_flags(options)
+            else:
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps(options), encoding="utf-8")
+                argv += ["--config", str(cfg)]
+            capsys.readouterr()
+            code = main(argv)
+            outputs.append((code, capsys.readouterr().out,
+                            out.read_bytes() if out.exists() else None))
+        assert outputs[0][0] == (3 if "corrupt_eta_scale" in options else 0)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command, options", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+    def test_bad_config_value_exit_1(self, data_csv, model_config, tmp_path, capsys,
+                                     command, options):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(options), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, *self._io(command, options, data_csv, model_config, tmp_path, out),
+                "--config", str(cfg)]
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"argument --{next(iter(options)).replace('_', '-')}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [{"nosuch": 1, "help": True}, {"thet": "wide"},
+                                        {"seed": None, "theta": None}],
+                             ids=["unknown", "abbreviation", "null"])
+    def test_ignored_entries(self, data_csv, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["jitter", "--input", str(data_csv), *SCHEMA_FLAGS]
+        assert main([*argv, "--output", str(tmp_path / "a.csv")]) == 0
+        assert main([*argv, "--config", str(cfg), "--output", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_config_supplies_and_flag_overrides(self, data_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 5, "theta": 0.4, "nu": 2}))
@@ -508,6 +637,22 @@ class TestSimulateCommand:
         assert main(argv + ["--output", str(a)]) == 0
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("margin", [
+        {"family": "binomial", "p": 0.3},
+        {"family": "binomial", "n": 4.7, "p": 0.3},
+        {"family": "binomial", "n": 4, "p": "x"},
+    ], ids=["missing_n", "fraction_n", "word_p"])
+    def test_bad_model_config_exit_1(self, tmp_path, capsys, margin):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"margin": margin}), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--model-config", str(path), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "usage error: model config" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["simulate", "--model-config", str(tmp_path / "nope.json"),

@@ -224,6 +224,15 @@ class TestKdeEval:
         far = ds.rows[:, 0].max() + 12 * model.effective_bandwidths[0]
         assert kde_eval(model, [far]) < 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("huge", [1e300, -1e300])
+    def test_huge_coordinate_weighs_nothing(self, binom43, kernel_name, huge):
+        # (x - p) / h squares to inf there: a weight of exactly 0, and no warning
+        ds = discrete_dataset(binom43, 200, seed=1)
+        model = fit_kde(ds, SPEC, kernel=get_kernel(kernel_name), seed=1)
+        assert kde_eval(model, [huge]) == 0.0
+
     @_PROPERTIES
     @given(st.sampled_from(["gaussian", "epanechnikov"]), st.integers(2, 200),
            st.integers(0, 10_000), st.integers(1, 3),
@@ -393,6 +402,13 @@ class TestLoclinEval:
                            seed=0, bandwidth=0.1)
         with pytest.raises(NoLocalDataError):
             loclin_eval(model, [50.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("huge", [1e300, -1e300])
+    def test_huge_coordinate_no_local_data(self, huge):
+        model = fit_loclin(_continuous_dataset(), 0, NO_DISCRETE, seed=0)
+        with pytest.raises(NoLocalDataError):
+            loclin_eval(model, [huge])
 
     def test_ridge_fallback_single_support_point(self):
         # bandwidth so small only one observation carries weight; evaluating

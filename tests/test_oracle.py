@@ -307,3 +307,33 @@ class TestModelFromConfig:
     def test_missing_margin(self):
         with pytest.raises(InvalidParameterError):
             model_from_config({})
+
+    @pytest.mark.parametrize("config, named", [
+        ({"margin": {"family": "binomial", "p": 0.3}}, "'n'"),
+        ({"margin": {"family": "binomial", "n": 4, "p": "x"}}, "'p'"),
+        ({"margin": {"family": "binomial", "n": 4.7, "p": 0.3}}, "'n'"),
+        ({"margin": {"family": "binomial", "n": True, "p": 0.3}}, "'n'"),
+        ({"margin": {"family": "bernoulli", "p": 10**400}}, "'p'"),
+        ({"margin": {"family": "poisson_truncated", "lam": 1.5}}, "'max_k'"),
+        ({"margin": {"family": "poisson_truncated", "lam": 1.5, "max_k": 6.5}}, "'max_k'"),
+        ({"margin": "binomial"}, "'margin'"),
+        ({"margin": {"family": "bernoulli", "p": 0.2}, "continuous": {"mean": ["a"]}},
+         "'mean'"),
+        ({"margin": {"family": "bernoulli", "p": 0.2}, "continuous": {"scale": 0.5}},
+         "'scale'"),
+        ({"margin": {"family": "bernoulli", "p": 0.2}, "continuous": {"mean": []}},
+         "'mean'"),
+        ({"margin": {"family": "bernoulli", "p": 0.2}, "continuous": [0.0]}, "'continuous'"),
+    ], ids=["missing_n", "word_p", "fraction_n", "bool_n", "huge_p", "missing_max_k",
+            "fraction_max_k", "word_margin", "word_mean", "bare_scale", "empty_mean",
+            "list_continuous"])
+    def test_missing_or_mistyped_field(self, config, named):
+        with pytest.raises(InvalidParameterError, match=named):
+            model_from_config(config)
+
+    def test_whole_float_counts(self):
+        model = model_from_config({"margin": {"family": "binomial", "n": 4.0, "p": 0.3},
+                                   "continuous": {"mean": [1.0], "scale": [0.5, 0.1]}})
+        assert_allclose(model.margin.probabilities, BINOM_PMF, atol=1e-14)
+        assert model.continuous.mean(2.0) == 1.0
+        assert model.continuous.scale(2.0) == pytest.approx(0.7)

@@ -308,6 +308,23 @@ class TestKdeFunctionals:
         with pytest.raises(NoLocalDataError):
             cond_mean(model, q)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("huge", [1e300, -1e300])
+    def test_huge_covariate_no_local_data(self, kernel_name, huge):
+        # the covariate's (x - p) / h squares to inf: zero weight, and no warning
+        rng = np.random.default_rng(4)
+        rows = np.column_stack([rng.integers(0, 3, 60).astype(float),
+                                rng.normal(size=60)])
+        ds = MixedDataset(
+            (ColumnSchema("z", "discrete_ordered"), ColumnSchema("x", "continuous")), rows
+        )
+        model = fit_kde(ds, NoiseSpec(0.8, 5, dims=1), kernel=get_kernel(kernel_name), seed=5)
+        q = FunctionalQuery(kind="mean", response_index=0, response_kind="discrete",
+                            covariate_point={1: huge})
+        with pytest.raises(NoLocalDataError):
+            cond_mean(model, q)
+
 
 def _two_class_dataset(n, seed, balanced=True):
     rng = np.random.default_rng(seed)
