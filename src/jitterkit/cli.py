@@ -273,8 +273,11 @@ def _parse_point(text) -> dict[str, float]:
         if "=" not in item:
             raise InvalidParameterError(f"bad covariate assignment {item!r}; use name=value")
         name, _, value = item.partition("=")
+        name = name.strip()
+        if name in point:
+            raise InvalidParameterError(f"covariate {name!r} is given more than once")
         try:
-            point[name.strip()] = float(value)
+            point[name] = float(value)
         except ValueError:
             raise InvalidParameterError(f"covariate {item!r} needs a numeric value") from None
     return point

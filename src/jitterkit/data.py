@@ -116,8 +116,11 @@ class MixedDataset:
 class JitteredDataset:
     """One jitter replicate: discrete columns shifted by sampled noise.
 
-    Continuous (and categorical) columns are bit-identical to the origin;
-    each jittered entry differs from its original by less than gamma2.
+    Continuous (and categorical) columns are bit-identical to the origin,
+    which construction checks; each jittered entry differs from its
+    original by less than gamma2. ``rows`` is read-only and column-major
+    (Fortran order), so a column, or a run of rows of one, is a
+    contiguous slice; rows given in another layout are copied into it.
     """
 
     origin: MixedDataset
@@ -127,11 +130,16 @@ class JitteredDataset:
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=float))
+        rows = np.asfortranarray(np.asarray(self.rows, dtype=float))
         if rows.shape != self.origin.rows.shape:
             raise SchemaError(
                 f"jittered rows shape {rows.shape} != origin {self.origin.rows.shape}"
             )
+        for j, col in enumerate(self.origin.schema):
+            if col.kind != "discrete_ordered" and not np.array_equal(
+                rows[:, j], self.origin.rows[:, j]
+            ):
+                raise SchemaError(f"jittered rows change the {col.kind} column {col.name!r}")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -161,7 +169,7 @@ def jitter(
         raise SchemaError(
             f"spec.dims = {spec.dims} but dataset has {len(disc)} discrete_ordered columns"
         )
-    rows = np.array(dataset.rows, dtype=float)
+    rows = np.array(dataset.rows, dtype=float, order="F")
     if disc:
         eps = sample_noise(spec, seed, dataset.n, replicate_index)
         rows[:, disc] += eps

@@ -11,11 +11,17 @@ antiderivatives (:meth:`Kernel.cdf`, :meth:`Kernel.partial_moment`) give
 the KDE functionals in closed form, and :mod:`jitterkit.quadrature`
 serves only the analytic oracle and the noise checks.
 
-Every kernel sum goes through :meth:`Kernel.product_weights`, which
-builds the product-kernel weights one column at a time on 1-D column
-views, so no (n, d) temporary is made. ``kde_eval`` and ``loclin_eval``
-walk each replicate in fixed chunks of ``_CHUNK_ROWS`` rows, which bounds
-their working memory independently of n.
+Every kernel sum (``kde_eval``, ``loclin_eval`` and a KDE's conditional
+functionals) goes through :func:`product_weights`. It walks the rows in
+fixed chunks of ``_CHUNK_ROWS``, every replicate within each chunk, and
+builds the product-kernel weights one column at a time on contiguous
+column slices (replicates are column-major) in buffers reused from chunk
+to chunk, so working memory is bounded independently of n and no (n, d)
+temporary is made. Jittering moves only the discrete columns, so the
+kernel factor of any other column is the same in every replicate: it is
+computed once per chunk, from replicate 0, and combined with each
+replicate's jittered factors in column order, which keeps every weight
+bit-identical to one built from that replicate alone.
 
 A Gaussian weight whose exponent ``-0.5 * sum u_j^2`` is below -700 is
 an exact 0.0 (see ``_exp``). Rows more than about 37 bandwidths from the
@@ -102,43 +108,6 @@ class Kernel:
         # epanechnikov, compact support [-1, 1]
         return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
-    def product_weights(self, rows: np.ndarray, columns, point, h) -> np.ndarray:
-        """Product-kernel weights ``prod_j K((rows[:, c_j] - p_j) / h_j)``.
-
-        ``columns`` indexes the columns of ``rows`` that ``point`` and ``h``
-        give values and bandwidths for; with no columns every weight is 1.
-        Works column by column on 1-D views, so its temporaries are a few
-        arrays of ``len(rows)`` floats whatever the number of columns.
-        """
-        if not len(columns):
-            return np.ones(len(rows))
-        acc = None
-        # a huge coordinate squares to u^2 = inf, whose weight is exactly 0
-        with np.errstate(over="ignore"):
-            for c, p, hj in zip(columns, point, h):
-                u = np.subtract(rows[:, c], p)
-                u /= hj
-                np.square(u, out=u)
-                if self.name != "gaussian":
-                    # 1 - u^2 clipped at 0 is exactly 0 outside the support |u| <= 1
-                    np.subtract(1.0, u, out=u)
-                    np.maximum(u, 0.0, out=u)
-                # the first column's factor is the accumulator: 0 + u^2 and 1 * v are exact
-                if acc is None:
-                    acc = u
-                elif self.name == "gaussian":
-                    acc += u
-                else:
-                    acc *= u
-        k = len(columns)
-        if self.name == "gaussian":
-            acc *= -0.5
-            _exp(acc)
-            acc *= (2.0 * math.pi) ** (-0.5 * k)
-        else:
-            acc *= 0.75**k
-        return acc
-
     def cdf(self, u: np.ndarray) -> np.ndarray:
         """Antiderivative ``int_{-inf}^u K(t) dt``."""
         u = np.asarray(u, dtype=float)
@@ -163,6 +132,75 @@ EPANECHNIKOV = Kernel("epanechnikov")
 
 def get_kernel(name: str) -> Kernel:
     return Kernel(name)
+
+
+def _kernel_factor(kernel: Kernel, column: np.ndarray, p: float, hj: float,
+                   offset: np.ndarray, out: np.ndarray) -> None:
+    """One column's factor of the product kernel: writes the offsets
+    ``column - p`` into ``offset`` and, for ``u = offset / hj``, u^2
+    (Gaussian) or ``max(1 - u^2, 0)`` (Epanechnikov) into ``out``."""
+    # a huge coordinate squares to u^2 = inf, whose weight is exactly 0
+    with np.errstate(over="ignore"):
+        np.subtract(column, p, out=offset)
+        np.divide(offset, hj, out=out)
+        np.square(out, out=out)
+    if kernel.name != "gaussian":
+        # 1 - u^2 clipped at 0 is exactly 0 outside the support |u| <= 1
+        np.subtract(1.0, out, out=out)
+        np.maximum(out, 0.0, out=out)
+
+
+def product_weights(model: _JitteredModel, columns, point, h):
+    """Yield ``(r, rows, dx, w)`` for each chunk of ``_CHUNK_ROWS`` rows
+    and, within it, each replicate ``r`` in turn: the chunk's ``rows``
+    slice, the offsets ``dx[j] = rows[:, columns[j]] - point[j]`` as one
+    (k, m) array, and the product-kernel weights
+    ``w = prod_j K(dx[j] / h[j])``, all 1 when ``columns`` is empty.
+
+    A column that :func:`~jitterkit.data.jitter` leaves untouched holds
+    the same values in every replicate, so its offsets and factor are
+    computed once per chunk, from replicate 0; with no jittered column
+    the weights, too, are computed once per chunk. The factors combine in
+    column order, ``+=`` of u^2 then one ``exp`` (Gaussian) or ``*=``
+    (Epanechnikov), so each replicate's weights are bit-identical to ones
+    built from its own rows alone. ``dx`` and ``w`` are buffers that the
+    next yield overwrites: callers read them and write into neither.
+    """
+    kernel, reps = model.kernel, model.replicates
+    k, n = len(columns), reps[0].n
+    jittered = model.origin.indices_of_kind("discrete_ordered")
+    fresh = [c in jittered for c in columns]
+    combine = np.add if kernel.name == "gaussian" else np.multiply
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        m = min(n - start, _CHUNK_ROWS)
+        # a ragged last chunk gets buffers of its own size, so that dx stays
+        # one contiguous (k, m) array
+        if start == 0 or m < _CHUNK_ROWS:
+            dx, factors, w = np.empty((k, m)), np.empty((k, m)), np.empty(m)
+        for j, c in enumerate(columns):
+            if not fresh[j]:
+                _kernel_factor(kernel, reps[0].rows[rows, c], point[j], h[j], dx[j], factors[j])
+        for r, rep in enumerate(reps):
+            if r == 0 or any(fresh):  # else replicate 0's weights hold for every replicate
+                # the first column's factor is the accumulator
+                for j, c in enumerate(columns):
+                    if fresh[j]:
+                        _kernel_factor(kernel, rep.rows[rows, c], point[j], h[j], dx[j],
+                                       w if j == 0 else factors[j])
+                    elif j == 0:
+                        np.copyto(w, factors[0])
+                    if j > 0:
+                        combine(w, factors[j], out=w)
+                if k == 0:
+                    w.fill(1.0)
+                elif kernel.name == "gaussian":
+                    w *= -0.5
+                    _exp(w)
+                    w *= (2.0 * math.pi) ** (-0.5 * k)
+                else:
+                    w *= 0.75**k
+            yield r, rows, dx, w
 
 
 def select_bandwidth(data) -> np.ndarray:
@@ -205,6 +243,9 @@ class _JitteredModel:
         object.__setattr__(self, "replicates", tuple(self.replicates))
         if not self.replicates:
             raise InvalidParameterError("model needs at least one jitter replicate")
+        if any(rep.origin is not self.origin for rep in self.replicates):
+            # product_weights takes every unjittered column from replicate 0
+            raise InvalidParameterError("every jitter replicate must be drawn from one dataset")
         d = len(self.smoothed_indices)
         if len(self.transform.scales) != d:
             raise InvalidParameterError(
@@ -258,9 +299,12 @@ def _jittered_fit(
         raise SchemaError(f"categorical columns {categorical} must be dummy-coded before fitting")
     replicates = tuple(jitter(dataset, spec, seed, r) for r in range(num_jitters))
     smoothed = [j for j in range(len(dataset.schema)) if j != response_index]
-    # a KDE standardizes the replicate's own rows: a fancy-indexed copy is
-    # not C-contiguous, and numpy would sum its columns in another order
-    rows = replicates[0].rows if response_index is None else replicates[0].rows[:, smoothed]
+    # numpy sums each column in an order set by the array's layout, and so
+    # the transform's last bits: a KDE standardizes a C-order copy of
+    # replicate 0, a local linear fit the F-order copy that selecting its
+    # covariates makes
+    rows = (np.ascontiguousarray(replicates[0].rows) if response_index is None
+            else replicates[0].rows[:, smoothed])
     transform = Standardization.from_rows(rows, tuple(dataset.schema[j].name for j in smoothed))
     if bandwidth is None:
         bandwidths = select_bandwidth(rows)
@@ -320,16 +364,10 @@ def kde_eval(model: KdeModel, point) -> float:
     d = len(model.schema)
     point = _finite_point(point, d, "point")
     h = model.effective_bandwidths
-    columns = range(d)
-    norm = float(np.prod(h))
-    vals = np.empty(model.num_jitters)
-    for r, rep in enumerate(model.replicates):
-        total = 0.0
-        for start in range(0, rep.n, _CHUNK_ROWS):
-            chunk = rep.rows[start:start + _CHUNK_ROWS]
-            total += float(model.kernel.product_weights(chunk, columns, point, h).sum())
-        vals[r] = total / (rep.n * norm)
-    return float(np.mean(vals))
+    totals = np.zeros(model.num_jitters)
+    for r, _, _, w in product_weights(model, range(d), point, h):
+        totals[r] += w.sum()
+    return float(np.mean(totals / (model.replicates[0].n * float(np.prod(h)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,9 +389,12 @@ class LocLinModel(_JitteredModel):
     smoothed_indices = covariate_indices
 
     def response_values(self, replicate: JitteredDataset) -> np.ndarray:
-        if self.jitter_response:
-            return replicate.rows[:, self.response_index]
-        return self.origin.rows[:, self.response_index]
+        """The response the fit regresses on: the replicate's own column,
+        unless that column is jittered and the response is not."""
+        j = self.response_index
+        if self.jitter_response or self.schema[j].kind != "discrete_ordered":
+            return replicate.rows[:, j]
+        return self.origin.rows[:, j]
 
 
 def fit_loclin(
@@ -391,21 +432,18 @@ def fit_loclin(
 
 
 def _normal_equations(
-    kernel: Kernel, rows: np.ndarray, y: np.ndarray, columns, x0: np.ndarray, h: np.ndarray
+    dx: np.ndarray, w: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel-weighted normal equations ``(A'WA, A'Wy)`` of the local linear
-    fit around ``x0`` over ``rows``, where row i of ``A`` is
-    ``(1, rows[i, columns] - x0)``."""
-    w = kernel.product_weights(rows, columns, x0, h)
-    dx = np.empty((len(columns), len(rows)))
-    for j, c in enumerate(columns):
-        np.subtract(rows[:, c], x0[j], out=dx[j])
+    """Kernel-weighted normal equations ``(A'WA, A'Wy)`` of a local linear
+    fit, where row i of ``A`` is ``(1, dx[:, i])``: the covariate offsets
+    from the point, as :func:`product_weights` yields them."""
+    k = len(dx)
     wdx = dx * w
-    m = np.empty((len(columns) + 1, len(columns) + 1))
+    m = np.empty((k + 1, k + 1))
     m[0, 0] = w.sum()
     m[0, 1:] = m[1:, 0] = wdx.sum(axis=1)
     m[1:, 1:] = wdx @ dx.T
-    wy = np.multiply(w, y, out=w)
+    wy = w * y
     return m, np.concatenate(([wy.sum()], dx @ wy))
 
 
@@ -437,20 +475,18 @@ def loclin_eval(model: LocLinModel, covariate_point) -> float:
     weight in any replicate is below 1e-12.
     """
     cov_idx = model.covariate_indices
-    x0 = _finite_point(covariate_point, len(cov_idx), "covariate point")
+    k = len(cov_idx)
+    x0 = _finite_point(covariate_point, k, "covariate point")
     h = model.bandwidths * model.transform.scales
+    ys = [model.response_values(rep) for rep in model.replicates]
+    ms = [np.zeros((k + 1, k + 1)) for _ in ys]
+    rhss = [np.zeros(k + 1) for _ in ys]
+    for r, rows, dx, w in product_weights(model, cov_idx, x0, h):
+        chunk_m, chunk_rhs = _normal_equations(dx, w, ys[r][rows])
+        ms[r] += chunk_m
+        rhss[r] += chunk_rhs
     estimates = np.empty(model.num_jitters)
-    for r, rep in enumerate(model.replicates):
-        y = model.response_values(rep)
-        m = np.zeros((len(cov_idx) + 1, len(cov_idx) + 1))
-        rhs = np.zeros(len(cov_idx) + 1)
-        for start in range(0, rep.n, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            chunk_m, chunk_rhs = _normal_equations(
-                model.kernel, rep.rows[start:stop], y[start:stop], cov_idx, x0, h
-            )
-            m += chunk_m
-            rhs += chunk_rhs
+    for r, (m, rhs) in enumerate(zip(ms, rhss)):
         total = m[0, 0]
         if not total > _MIN_TOTAL_WEIGHT:
             raise NoLocalDataError(

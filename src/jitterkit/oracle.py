@@ -94,7 +94,12 @@ class DiscretePmf:
     def binomial(cls, n: int, p: float) -> "DiscretePmf":
         if n < 1 or not 0.0 <= p <= 1.0:
             raise InvalidParameterError(f"invalid binomial parameters n={n}, p={p}")
-        probs = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+        try:
+            probs = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+        except OverflowError:
+            raise InvalidParameterError(
+                f"binomial n={n} is too large: a binomial coefficient exceeds the float range"
+            ) from None
         return cls(support_min=0, probabilities=tuple(probs))
 
     @classmethod
@@ -106,10 +111,19 @@ class DiscretePmf:
     @classmethod
     def poisson_truncated(cls, lam: float, max_k: int) -> "DiscretePmf":
         """Poisson(lam) restricted to {0, ..., max_k} and renormalized."""
-        if lam <= 0 or max_k < 1:
+        if not 0 < lam < math.inf or max_k < 1:
             raise InvalidParameterError(f"invalid truncated poisson lam={lam}, max_k={max_k}")
-        raw = [math.exp(-lam) * lam**k / math.factorial(k) for k in range(max_k + 1)]
+        try:
+            raw = [math.exp(-lam) * lam**k / math.factorial(k) for k in range(max_k + 1)]
+        except OverflowError:
+            raise InvalidParameterError(
+                f"truncated poisson lam={lam}, max_k={max_k}: a term exceeds the float range"
+            ) from None
         total = sum(raw)
+        if not total > 0.0:
+            raise InvalidParameterError(
+                f"truncated poisson lam={lam}, max_k={max_k}: every term underflows to 0"
+            )
         return cls(support_min=0, probabilities=tuple(r / total for r in raw))
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, NoLocalDataError, QuantileSearchError, SchemaError
-from .estimators import KdeModel
+from .estimators import KdeModel, product_weights
 
 _MIN_DENOMINATOR = 1e-12
 _BISECT_TOL = 1e-8
@@ -151,8 +151,10 @@ def _covariate_weights(
     cov_idx = sorted(covariate_point)
     cov_vals = np.array([float(covariate_point[j]) for j in cov_idx])
     cov_h = model.effective_bandwidths[cov_idx]
-    w = np.concatenate([model.kernel.product_weights(rep.rows, cov_idx, cov_vals, cov_h)
-                        for rep in model.replicates])
+    n = model.replicates[0].n
+    w = np.empty(model.num_jitters * n)
+    for r, rows, _, chunk in product_weights(model, cov_idx, cov_vals, cov_h):
+        w[r * n:(r + 1) * n][rows] = chunk
     return w, float(np.prod(cov_h))
 
 

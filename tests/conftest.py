@@ -38,3 +38,85 @@ def mixed_dataset(model, n: int, seed: int) -> MixedDataset:
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def reference_product_weights(kernel, rows, columns, point, h) -> np.ndarray:
+    """Product-kernel weights of ``rows`` alone, the per-replicate way:
+    one column at a time in column order, the first column's factor as the
+    accumulator, ``+=`` of u^2 then one floored ``exp`` (Gaussian) or
+    ``*=`` of ``max(1 - u^2, 0)`` (Epanechnikov). Weights whose exponent is
+    below -700 are exactly 0."""
+    if not len(columns):
+        return np.ones(len(rows))
+    acc = None
+    with np.errstate(over="ignore"):
+        for c, p, hj in zip(columns, point, h):
+            u = np.subtract(rows[:, c], p)
+            u /= hj
+            np.square(u, out=u)
+            if kernel.name != "gaussian":
+                u = np.maximum(1.0 - u, 0.0)
+            if acc is None:
+                acc = u
+            elif kernel.name == "gaussian":
+                acc += u
+            else:
+                acc *= u
+    k = len(columns)
+    if kernel.name == "gaussian":
+        acc *= -0.5
+        return np.where(acc < -700.0, 0.0, np.exp(np.maximum(acc, -700.0))) \
+            * (2.0 * np.pi) ** (-0.5 * k)
+    return acc * 0.75**k
+
+
+def reference_kde_eval(model, point, weights=reference_product_weights,
+                       chunk_rows=32_768) -> float:
+    """``kde_eval`` replicate by replicate, each in chunks of
+    ``chunk_rows`` rows, from ``weights(kernel, rows, columns, point, h)``."""
+    h = model.effective_bandwidths
+    point = np.asarray(point, dtype=float)
+    vals = []
+    for rep in model.replicates:
+        total = 0.0
+        for start in range(0, rep.n, chunk_rows):
+            chunk = rep.rows[start:start + chunk_rows]
+            total += float(weights(model.kernel, chunk, range(len(h)), point, h).sum())
+        vals.append(total / (rep.n * float(np.prod(h))))
+    return float(np.mean(vals))
+
+
+def reference_loclin_eval(model, x0, weights=reference_product_weights,
+                          chunk_rows=32_768) -> float:
+    """``loclin_eval`` replicate by replicate: per chunk of ``chunk_rows``
+    rows, the weighted normal equations of the local linear fit, summed in
+    chunk order, then the replicate's solve. The response is the origin's
+    column unless the model jitters it."""
+    from jitterkit import NoLocalDataError, estimators
+
+    cov = model.covariate_indices
+    x0 = np.asarray(x0, dtype=float)
+    h = model.bandwidths * model.transform.scales
+    estimates = []
+    for r, rep in enumerate(model.replicates):
+        y = (rep if model.jitter_response else model.origin).rows[:, model.response_index]
+        m = np.zeros((len(cov) + 1, len(cov) + 1))
+        rhs = np.zeros(len(cov) + 1)
+        for start in range(0, rep.n, chunk_rows):
+            rows, ys = rep.rows[start:start + chunk_rows], y[start:start + chunk_rows]
+            w = weights(model.kernel, rows, cov, x0, h)
+            dx = np.empty((len(cov), len(rows)))
+            for j, c in enumerate(cov):
+                dx[j] = rows[:, c] - x0[j]
+            wdx = dx * w
+            cm = np.empty_like(m)
+            cm[0, 0] = w.sum()
+            cm[0, 1:] = cm[1:, 0] = wdx.sum(axis=1)
+            cm[1:, 1:] = wdx @ dx.T
+            wy = w * ys
+            m += cm
+            rhs += np.concatenate(([wy.sum()], dx @ wy))
+        if not m[0, 0] > 1e-12:
+            raise NoLocalDataError(f"total kernel weight {m[0, 0]} (replicate {r})")
+        estimates.append(estimators._weighted_local_fit(m, rhs))
+    return float(np.mean(estimates))

@@ -221,6 +221,24 @@ class TestFitEvalCommands:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("estimator,query", [
+        ("kde", ["--functional", "density", "--at", "z=1,x=0.5,x=0.7"]),
+        ("kde", ["--functional", "mean", "--response", "z", "--at", "x=0.5, x =0.5"]),
+        ("loclin", ["--functional", "mean", "--at", "z=1,z=2"]),
+    ])
+    def test_repeated_covariate_exit_1(self, data_csv, tmp_path, capsys, estimator, query):
+        # a column named twice in --at is refused, not read as its last value
+        model = tmp_path / "m.bin"
+        fit_extra = ["--estimator", "loclin", "--response", "x"] if estimator == "loclin" else []
+        assert main(["fit", "--input", str(data_csv), "--output", str(model),
+                     *SCHEMA_FLAGS, *fit_extra]) == 0
+        code = main(["eval", "--model", str(model), *query])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "given more than once" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("query", [
         ["--functional", "mean", "--response", "nosuch"],
         ["--functional", "quantile", "--response", "nosuch", "--alpha", "0.5"],
@@ -651,6 +669,23 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "usage error: model config" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("margin", [
+        {"family": "binomial", "n": 2000, "p": 0.3},
+        {"family": "poisson_truncated", "lam": 1.5, "max_k": 200},
+        {"family": "poisson_truncated", "lam": 1000.0, "max_k": 5},
+    ], ids=["binomial_n", "poisson_max_k", "poisson_lam"])
+    def test_margin_beyond_float_range_exit_1(self, tmp_path, capsys, margin):
+        # well-formed configs whose probabilities leave the float range
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"margin": margin}), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--model-config", str(path), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "usage error" in captured.err
         assert "Traceback" not in captured.err
         assert not out.exists()
 

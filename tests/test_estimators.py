@@ -40,7 +40,12 @@ from jitterkit import (
 )
 
 from jitterkit import JitterkitError, estimators
-from conftest import discrete_dataset
+from conftest import (
+    discrete_dataset,
+    reference_kde_eval,
+    reference_loclin_eval,
+    reference_product_weights,
+)
 
 SPEC = NoiseSpec(theta=0.8, nu=5, dims=1)
 NO_DISCRETE = NoiseSpec(theta=0.8, nu=5, dims=0)
@@ -488,16 +493,16 @@ class TestEvalMemory:
         assert peak < n * 8
 
 
-def _accumulator_weights(self, rows, columns, point, h):
+def _accumulator_weights(kernel, rows, columns, point, h):
     """Product-kernel weights as they were built before the e^-700 floor:
     accumulated into zeros (Gaussian) or ones (Epanechnikov), then one
     plain ``np.exp`` that lets far lanes underflow."""
-    acc = np.zeros(len(rows)) if self.name == "gaussian" else np.ones(len(rows))
+    acc = np.zeros(len(rows)) if kernel.name == "gaussian" else np.ones(len(rows))
     for c, p, hj in zip(columns, point, h):
         u = np.square((rows[:, c] - p) / hj)
-        acc = acc + u if self.name == "gaussian" else acc * np.maximum(1.0 - u, 0.0)
+        acc = acc + u if kernel.name == "gaussian" else acc * np.maximum(1.0 - u, 0.0)
     k = len(columns)
-    if self.name == "gaussian":
+    if kernel.name == "gaussian":
         return np.exp(-0.5 * acc) * (2.0 * math.pi) ** (-0.5 * k)
     return acc * 0.75**k
 
@@ -508,6 +513,35 @@ def _half_squared_norms(rows, columns, point, h):
     for c, p, hj in zip(columns, point, h):
         acc = acc + np.square((rows[:, c] - p) / hj)
     return 0.5 * acc
+
+
+def _replicated_models(kernel_name, rows, num_jitters=2):
+    """Hand-built KDEs whose ``num_jitters`` replicates all hold ``rows``:
+    one with every column continuous, so every factor is computed once for
+    all replicates, and one whose first column is discrete, so its factor
+    is computed per replicate."""
+    d = rows.shape[1]
+    models = []
+    for first in ("continuous", "discrete_ordered"):
+        schema = (ColumnSchema("c0", first),) + tuple(
+            ColumnSchema(f"c{j}", "continuous") for j in range(1, d))
+        origin = rows.copy()
+        if first == "discrete_ordered":
+            origin[:, 0] = np.round(origin[:, 0])
+        origin = MixedDataset(schema, origin)
+        spec = NoiseSpec(0.8, 5, dims=int(first == "discrete_ordered"))
+        reps = tuple(JitteredDataset(origin=origin, noise=spec, seed=0, replicate_index=r,
+                                     rows=rows) for r in range(num_jitters))
+        models.append(KdeModel(kernel=get_kernel(kernel_name), noise=spec, seed=0,
+                               bandwidths=np.ones(d),
+                               transform=Standardization(np.zeros(d), np.ones(d)),
+                               replicates=reps))
+    return models
+
+
+def _weights_of_rows(model, columns, point, h):
+    """``product_weights`` of a model of one chunk: one array per replicate."""
+    return [w.copy() for _, _, _, w in estimators.product_weights(model, columns, point, h)]
 
 
 class TestExpFloor:
@@ -530,32 +564,37 @@ class TestExpFloor:
         narrow[:, 1] = rng.uniform(0.0, 3.0, grid.size)
         rows = np.concatenate([sweep, wide, narrow])
         columns, point, h = [0, 1, 2][:k], [0.3, -0.2, 0.1][:k], [1.0, 0.9, 1.1][:k]
-        got = kernel.product_weights(rows, columns, point, h)
         old = _accumulator_weights(kernel, rows, columns, point, h)
-        if kernel_name == "gaussian":
-            kept = _half_squared_norms(rows, columns, point, h) <= 700.0
-            assert kept.any() and (k == 0 or not kept.all())
-            assert_array_equal(got[kept], old[kept])
-            assert np.all(got[~kept] == 0.0)
-            assert np.any(old[~kept] > 0.0) or k == 0  # the old weights there were subnormal
-        else:
-            assert_array_equal(got, old)
-        if k == 0:
-            assert_array_equal(got, np.ones(len(rows)))
+        for model in _replicated_models(kernel_name, rows):
+            for got in _weights_of_rows(model, columns, point, h):
+                if kernel_name == "gaussian":
+                    kept = _half_squared_norms(rows, columns, point, h) <= 700.0
+                    assert kept.any() and (k == 0 or not kept.all())
+                    assert_array_equal(got[kept], old[kept])
+                    assert np.all(got[~kept] == 0.0)
+                    # the old weights there were subnormal
+                    assert np.any(old[~kept] > 0.0) or k == 0
+                else:
+                    assert_array_equal(got, old)
+                if k == 0:
+                    assert_array_equal(got, np.ones(len(rows)))
 
     @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_empty_and_one_row(self, kernel_name, k):
+        # a model of no rows yields no chunk; one-row models yield one weight
         kernel = get_kernel(kernel_name)
         columns, point, h = range(k), np.zeros(k), np.ones(k)
-        empty = kernel.product_weights(np.empty((0, 3)), columns, point, h)
-        assert empty.shape == (0,) and empty.dtype == float
+        for model in _replicated_models(kernel_name, np.empty((0, 3))):
+            assert _weights_of_rows(model, columns, point, h) == []
         for u in (0.0, 0.5, 37.0, 38.0, 60.0):
             row = np.full((1, 3), u)
-            assert_array_equal(kernel.product_weights(row, columns, point, h),
-                               _accumulator_weights(kernel, row, columns, point, h)
-                               if kernel_name == "epanechnikov" or 0.5 * k * u * u <= 700.0
-                               else [0.0])
+            want = (_accumulator_weights(kernel, row, columns, point, h)
+                    if kernel_name == "epanechnikov" or 0.5 * k * u * u <= 700.0
+                    else [0.0])
+            for model in _replicated_models(kernel_name, row):
+                for got in _weights_of_rows(model, columns, point, h):
+                    assert_array_equal(got, want)
 
     def test_profile_floor(self):
         kernel = get_kernel("gaussian")
@@ -569,7 +608,7 @@ class TestExpFloor:
         assert np.isnan(kernel.profile(np.array([np.nan, 40.0]))[0])
 
     @pytest.mark.parametrize("estimator", ["gaussian", "epanechnikov", "loclin"])
-    def test_eval_battery_matches_accumulator(self, estimator, monkeypatch):
+    def test_eval_battery_matches_accumulator(self, estimator):
         # 160 points on and far beyond the data; values far out are exact zeros
         ds = _mixed_dataset(1, 3000, seed=40)
         ds = MixedDataset(ds.schema[:2], ds.rows[:, :2])
@@ -578,7 +617,7 @@ class TestExpFloor:
             points = [[z] for z in np.concatenate([np.linspace(-3.0, 7.0, 150),
                                                    [-40.0, -12.0, 11.0, 20.0, 60.0, 1e3,
                                                     -1e3, 1e6, 1e10, -1e10]])]
-            evaluate = loclin_eval
+            evaluate, reference = loclin_eval, reference_loclin_eval
         else:
             model = fit_kde(ds, SPEC, kernel=get_kernel(estimator), num_jitters=2, seed=41)
             points = [[z, x] for z in np.linspace(-1.0, 6.0, 12) for x in np.linspace(-4.0, 8.0, 12)]
@@ -586,16 +625,163 @@ class TestExpFloor:
                        [2.0, 1e10], [6.0, 6.0], [-3.0, 9.0], [8.0, -5.0], [0.0, 12.0],
                        [3.0, -9.0], [-2.0, -2.0], [12.0, 3.0], [1.0, 1e10], [4.0, -30.0],
                        [-1e10, 1.0]]
-            evaluate = kde_eval
+            evaluate, reference = kde_eval, reference_kde_eval
         got = [_outcome(evaluate, model, p) for p in points]
-        monkeypatch.setattr(estimators.Kernel, "product_weights", _accumulator_weights)
-        want = [_outcome(evaluate, model, p) for p in points]
+        want = [_outcome(reference, model, p, _accumulator_weights) for p in points]
         assert len(points) >= 150
         assert got == want
         if estimator != "loclin":
             assert 0.0 in got  # points beyond the data stay exact zeros
         else:
             assert "NoLocalDataError" in got  # and beyond them no local data
+
+
+def _interleaved_dataset(kinds, n, seed):
+    """One column per letter of ``kinds``: "d" a Binomial(4, .3) count,
+    "c" a continuous value that leans on the columns before it."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in kinds:
+        if kind == "d":
+            columns.append(rng.binomial(4, 0.3, n).astype(float))
+        else:
+            columns.append(0.5 * sum(columns, np.zeros(n)) + rng.normal(size=n))
+    schema = tuple(ColumnSchema(f"{kind}{j}", "discrete_ordered" if kind == "d" else "continuous")
+                   for j, kind in enumerate(kinds))
+    return MixedDataset(schema, np.column_stack(columns))
+
+
+def _interleaved_fit(fit, kinds, kernel_name, num_jitters, n=60, seed=0, **kw):
+    ds = _interleaved_dataset(kinds, n, seed)
+    spec = NoiseSpec(0.8, 5, dims=kinds.count("d"))
+    return fit(ds, **kw, spec=spec, kernel=get_kernel(kernel_name),
+               num_jitters=num_jitters, seed=seed + 1)
+
+
+def _probe_points(origin, h):
+    """Points on and near the data, a few bandwidths out, and far beyond it."""
+    rows = origin[[0, 19, 33]]
+    return np.concatenate([rows, rows + 0.3 * h, rows - 2.5 * h, origin[:1] + 6.0 * h,
+                           [origin.min(axis=0) - 40.0, origin.max(axis=0) + 1e3]])
+
+
+INTERLEAVED = ["cc", "dd", "dc", "cd", "dcd", "cdc", "dcdc", "cddc"]
+
+
+class TestReplicateWeights:
+    """``product_weights`` computes an unjittered column's kernel factor once
+    per chunk for all replicates, and every estimate stays bit-identical to
+    the per-replicate reference in ``conftest``."""
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("kinds", INTERLEAVED)
+    def test_kde_eval_matches_per_replicate_reference(self, monkeypatch, kinds, kernel_name):
+        for chunk_rows in (32_768, 7):
+            monkeypatch.setattr(estimators, "_CHUNK_ROWS", chunk_rows)
+            for num_jitters in (1, 2, 3, 5):
+                model = _interleaved_fit(fit_kde, kinds, kernel_name, num_jitters,
+                                         seed=num_jitters)
+                points = _probe_points(model.origin.rows, model.effective_bandwidths)
+                got = [kde_eval(model, p) for p in points]
+                want = [reference_kde_eval(model, p, chunk_rows=chunk_rows) for p in points]
+                assert got == want, (chunk_rows, num_jitters)
+                assert got[-1] == 0.0 and max(got) > 0.0
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("kinds", INTERLEAVED)
+    def test_loclin_eval_matches_per_replicate_reference(self, monkeypatch, kinds, kernel_name):
+        # one chunk for R = 1 and 5, chunks of 7 rows for R = 2 and 3
+        for chunk_rows, num_jitters in ((32_768, 1), (7, 2), (7, 3), (32_768, 5)):
+            monkeypatch.setattr(estimators, "_CHUNK_ROWS", chunk_rows)
+            for response in {0, len(kinds) - 1}:
+                for jitter_response in {False, kinds[response] == "d"}:
+                    model = _interleaved_fit(fit_loclin, kinds, kernel_name, num_jitters,
+                                             seed=num_jitters, response_index=response,
+                                             jitter_response=jitter_response)
+                    cov = list(model.covariate_indices)
+                    h = model.bandwidths * model.transform.scales
+                    points = _probe_points(model.origin.rows[:, cov], h)
+                    got = [_outcome(loclin_eval, model, p) for p in points]
+                    want = [_outcome(reference_loclin_eval, model, p,
+                                     reference_product_weights, chunk_rows) for p in points]
+                    assert got == want, (chunk_rows, num_jitters, response)
+                    assert got[-1] == "NoLocalDataError"
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("kinds", ["cdc", "dcdc"])
+    def test_covariate_weights_match_per_replicate_reference(self, kinds, kernel_name):
+        # the weights a KDE's conditional functionals stack over R * n rows
+        from jitterkit import regression
+
+        model = _interleaved_fit(fit_kde, kinds, kernel_name, 3)
+        h = model.effective_bandwidths
+        for cov in ([], [0], [1], [0, 1], [1, 2], [0, 2], list(range(len(kinds)))):
+            point = {j: float(model.origin.rows[5, j]) + 0.2 for j in cov}
+            got, norm = regression._covariate_weights(model, point)
+            want = np.concatenate([reference_product_weights(
+                model.kernel, rep.rows, cov, [point[j] for j in cov], h[cov])
+                for rep in model.replicates])
+            assert_array_equal(got, want)
+            assert norm == float(np.prod(h[cov]))
+
+    @pytest.mark.parametrize("estimator", ["gaussian", "epanechnikov", "loclin"])
+    def test_untouched_factors_once_per_chunk(self, monkeypatch, estimator):
+        # n = 50 rows in chunks of 7 is 8 chunks; R = 3 replicates. Each
+        # column's point coordinate names it in the count.
+        monkeypatch.setattr(estimators, "_CHUNK_ROWS", 7)
+        calls = []
+        factor = estimators._kernel_factor
+        monkeypatch.setattr(estimators, "_kernel_factor",
+                            lambda kernel, column, p, *rest: calls.append(p)
+                            or factor(kernel, column, p, *rest))
+        kinds = "dcdc"
+        if estimator == "loclin":
+            model = _interleaved_fit(fit_loclin, kinds, "gaussian", 3, n=50,
+                                     response_index=3)
+            loclin_eval(model, [1.0, 2.0, 3.0])
+            per_column = {1.0: 24, 2.0: 8, 3.0: 24}
+        else:
+            model = _interleaved_fit(fit_kde, kinds, estimator, 3, n=50)
+            kde_eval(model, [1.0, 2.0, 3.0, 4.0])
+            per_column = {1.0: 24, 2.0: 8, 3.0: 24, 4.0: 8}
+        assert {p: calls.count(p) for p in set(calls)} == per_column
+
+    def test_replicates_are_column_major_and_read_only(self, tmp_path):
+        ds = _interleaved_dataset("dcdc", 40, seed=3)
+        spec = NoiseSpec(0.8, 5, dims=2)
+        kde = fit_kde(ds, spec, num_jitters=2, seed=4)
+        loclin = fit_loclin(ds, 3, spec, num_jitters=2, seed=4)
+        models = [kde, loclin]
+        for model in (kde, loclin):
+            save_model(model, tmp_path / "m.bin")
+            models.append(load_model(tmp_path / "m.bin"))
+        for model in models:
+            for rep in model.replicates:
+                assert rep.rows.flags.f_contiguous and not rep.rows.flags.writeable
+                assert rep.rows[5:9, 1].flags.c_contiguous
+                with pytest.raises(ValueError):
+                    rep.rows[0, 0] = 1.0
+        hand = JitteredDataset(origin=ds, noise=spec, seed=0, replicate_index=0, rows=ds.rows)
+        assert ds.rows.flags.c_contiguous and hand.rows.flags.f_contiguous
+        assert_array_equal(hand.rows, ds.rows)
+
+    def test_replicates_share_one_origin(self):
+        ds = _interleaved_dataset("dc", 20, seed=5)
+        other = MixedDataset(ds.schema, ds.rows.copy())
+        reps = [JitteredDataset(origin=o, noise=SPEC, seed=0, replicate_index=r, rows=ds.rows)
+                for r, o in enumerate((ds, other))]
+        with pytest.raises(InvalidParameterError, match="one dataset"):
+            KdeModel(kernel=get_kernel("gaussian"), noise=SPEC, seed=0, bandwidths=np.ones(2),
+                     transform=Standardization(np.zeros(2), np.ones(2)), replicates=reps)
+
+    def test_untouched_column_must_match_origin(self):
+        ds = _interleaved_dataset("dc", 20, seed=5)
+        rows = np.array(ds.rows)
+        rows[3, 0] += 0.25  # the discrete column may move
+        JitteredDataset(origin=ds, noise=SPEC, seed=0, replicate_index=0, rows=rows)
+        rows[4, 1] += 1e-12  # the continuous one may not
+        with pytest.raises(SchemaError, match="continuous column 'c1'"):
+            JitteredDataset(origin=ds, noise=SPEC, seed=0, replicate_index=0, rows=rows)
 
 
 class TestSerialization:
@@ -765,16 +951,20 @@ class TestModelCore:
 
     @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
     def test_fit_kde_standardizes_replicate_zero_rows(self, kernel_name):
-        # the fit must standardize replicate 0's own rows: a column-selected
-        # copy of them changes the means and scales in the last bit
+        # the fit must standardize a C-order copy of replicate 0's rows:
+        # numpy sums the column-major rows themselves, or a column-selected
+        # copy of them, in another order, which changes the means and
+        # scales in the last bit
         ds = _mixed_dataset(1, 300, seed=40)
         model = fit_kde(ds, NoiseSpec(0.8, 5, dims=1), kernel=get_kernel(kernel_name),
                         num_jitters=2, seed=41)
-        rows = model.replicates[0].rows
+        rows = np.ascontiguousarray(model.replicates[0].rows)
         expected = Standardization.from_rows(rows)
         assert model.transform.means.tolist() == expected.means.tolist()
         assert model.transform.scales.tolist() == expected.scales.tolist()
         assert model.bandwidths.tolist() == select_bandwidth(rows).tolist()
+        column_major = Standardization.from_rows(model.replicates[0].rows)
+        assert column_major.means.tolist() != expected.means.tolist()
 
     def test_fit_loclin_standardizes_replicate_zero_covariates(self):
         ds = _mixed_dataset(1, 300, seed=42)

@@ -52,6 +52,27 @@ class TestDiscretePmf:
         with pytest.raises(InvalidParameterError):
             DiscretePmf(0, ())
 
+    @pytest.mark.parametrize("make", [
+        lambda: DiscretePmf.binomial(2000, 0.3),
+        lambda: DiscretePmf.poisson_truncated(1.5, 200),
+        lambda: DiscretePmf.poisson_truncated(1e300, 3),
+        lambda: DiscretePmf.poisson_truncated(1000.0, 5),
+        lambda: DiscretePmf.poisson_truncated(math.inf, 3),
+    ], ids=["binomial_coefficient", "factorial", "power", "underflow", "infinite_lam"])
+    def test_beyond_float_range_refused(self, make):
+        with pytest.raises(InvalidParameterError):
+            make()
+
+    def test_largest_parameters_still_build(self):
+        # the formulas run unchanged up to the edge of the float range
+        n, p = 1020, 0.5
+        want = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+        assert DiscretePmf.binomial(n, p).probabilities == tuple(want)
+        for lam, max_k in ((1.5, 170), (700.0, 5)):
+            raw = [math.exp(-lam) * lam**k / math.factorial(k) for k in range(max_k + 1)]
+            want = tuple(r / sum(raw) for r in raw)
+            assert DiscretePmf.poisson_truncated(lam, max_k).probabilities == want
+
     def test_mass_outside_support(self):
         pmf = DiscretePmf.binomial(4, 0.3)
         assert pmf.mass(-1) == 0.0

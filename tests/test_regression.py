@@ -38,7 +38,8 @@ from jitterkit import (
     true_conditional,
 )
 
-from conftest import discrete_dataset, mixed_dataset
+from jitterkit import estimators
+from conftest import discrete_dataset, mixed_dataset, reference_product_weights
 
 PMFS = {
     "bernoulli": DiscretePmf.bernoulli(0.3),
@@ -519,8 +520,8 @@ def _recomputing_quantile(model, point, alpha):
     cov_idx = sorted(point)
     cov_vals = [point[j] for j in cov_idx]
     resp = np.concatenate([rep.rows[:, 1] for rep in model.replicates])
-    w = np.concatenate([model.kernel.product_weights(rep.rows, cov_idx, cov_vals, h[cov_idx])
-                        for rep in model.replicates])
+    w = np.concatenate([reference_product_weights(model.kernel, rep.rows, cov_idx, cov_vals,
+                                                  h[cov_idx]) for rep in model.replicates])
     norm = len(resp) * h[1] * float(np.prod(h[cov_idx]))
 
     def cum(t):
@@ -665,13 +666,18 @@ class TestKdeSliceWork:
         assert len(calls) == 2 + sum(sl.lower < t < sl.upper for t in range(lo, int(q) + 1))
 
     def test_classify_builds_covariate_weights_once(self, monkeypatch):
+        # one continuous covariate: its kernel factor is the same in all 3
+        # replicates, so one factor pass builds every class's weights
         ds = _two_class_dataset(300, seed=82)
         model = fit_kde(ds, NoiseSpec(0.8, 5, dims=2), num_jitters=3, seed=83)
         q = FunctionalQuery("class_probs", 0, "discrete", {2: 0.1}, class_columns=(0, 1))
-        weights = _counting(monkeypatch, "product_weights")
+        factors = []
+        factor = estimators._kernel_factor
+        monkeypatch.setattr(estimators, "_kernel_factor",
+                            lambda *args: factors.append(1) or factor(*args))
         cdfs = _counting(monkeypatch, "cdf")
         classify(model, q)
-        assert len(weights) == 3
+        assert len(factors) == 1
         assert len(cdfs) == 2 * 2
 
     @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
