@@ -27,6 +27,13 @@ integrate numerically, and :mod:`jitterkit.oracle` owns that.
 Covariates are addressed by column index. Columns absent from
 ``covariate_point`` are marginalized out; for product kernels this is
 exact, so queries may condition on any subset (including none).
+
+A KDE averages R jitter replicates, and only its discrete columns differ
+between them. So a slice holds an unjittered response once, as n values,
+and its covariate weights once unless a held covariate is jittered; each
+kernel pass runs over n values, or R * n where the data differ. Every
+weighted sum still adds the R * n products of all replicates in one
+order, so each estimate is bit-identical to one from stacked replicates.
 """
 
 from __future__ import annotations
@@ -105,6 +112,10 @@ class FunctionalQuery:
                 raise InvalidParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.kind == "class_probs" and not self.class_columns:
             raise InvalidParameterError("class_probs queries need class_columns")
+        if len(set(self.class_columns)) < len(self.class_columns):
+            raise InvalidParameterError(
+                f"a class column is given more than once in {tuple(self.class_columns)}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +153,10 @@ def _covariate_weights(
     model: KdeModel, covariate_point: Mapping[int, float]
 ) -> tuple[np.ndarray, float]:
     """The product-kernel weights of the covariates at ``covariate_point``,
-    stacked over the replicates' R * n rows, and the product of their
-    bandwidths. They do not depend on the response column."""
+    and the product of their bandwidths. They do not depend on the
+    response column. When a conditioned covariate is jittered they are an
+    (R, n) array, one row per replicate; otherwise every replicate's
+    weights are the same, and they are one n-vector."""
     d = len(model.schema)
     for j in covariate_point:
         if not 0 <= j < d:
@@ -151,11 +164,13 @@ def _covariate_weights(
     cov_idx = sorted(covariate_point)
     cov_vals = np.array([float(covariate_point[j]) for j in cov_idx])
     cov_h = model.effective_bandwidths[cov_idx]
-    n = model.replicates[0].n
-    w = np.empty(model.num_jitters * n)
+    jittered = model.origin.indices_of_kind("discrete_ordered")
+    stacked = any(j in jittered for j in cov_idx)
+    w = np.empty((model.num_jitters if stacked else 1, model.replicates[0].n))
     for r, rows, _, chunk in product_weights(model, cov_idx, cov_vals, cov_h):
-        w[r * n:(r + 1) * n][rows] = chunk
-    return w, float(np.prod(cov_h))
+        if r < len(w):
+            w[r, rows] = chunk
+    return (w if stacked else w[0]), float(np.prod(cov_h))
 
 
 def _kde_response_slice(
@@ -165,7 +180,14 @@ def _kde_response_slice(
     """Slice of a KDE: along the response axis it is a weighted sum of
     shifted kernels, so its integrals are sums of kernel antiderivatives.
     ``weights`` are :func:`_covariate_weights` at ``covariate_point``, when
-    the caller already has them."""
+    the caller already has them.
+
+    A jittered (``discrete_ordered``) response is held as a C-contiguous
+    (R, n) stack of its replicates; any other response is the same in
+    every replicate and is held once, as an n-vector. Each kernel pass
+    runs over the response's own shape, and each weighted sum over the
+    (R, n) product of weights and pass, so it adds the same R * n terms
+    in the same order as one flat array of all replicates would."""
     d = len(model.schema)
     if not 0 <= response_index < d:
         raise SchemaError(f"response_index {response_index} out of range for {d} columns")
@@ -176,8 +198,19 @@ def _kde_response_slice(
     h = model.effective_bandwidths
     h_resp = float(h[response_index])
     kernel = model.kernel
-    resp = np.concatenate([rep.rows[:, response_index] for rep in model.replicates])
-    norm = len(resp) * h_resp * cov_norm
+    reps = model.replicates
+    if model.origin.schema[response_index].kind == "discrete_ordered":
+        resp = np.stack([rep.rows[:, response_index] for rep in reps])
+    else:
+        resp = reps[0].rows[:, response_index]
+    num_rows = len(reps) * reps[0].n
+    norm = num_rows * h_resp * cov_norm
+
+    def weighted_sum(terms: np.ndarray) -> float:
+        product = w * terms
+        if product.size < num_rows:  # weights and terms are both one n-vector
+            product = np.tile(product, len(reps))
+        return float(product.sum())
 
     observed = model.origin.rows[:, response_index]
     r_min = float(observed.min())
@@ -208,20 +241,20 @@ def _kde_response_slice(
         # the kernel is symmetric, so (s - resp) / h_resp serves as well as its negative
         kept = last[0]
         u = kept[1] if kept[0] == s else (s - resp) / h_resp
-        return float((w * kernel.profile(u)).sum()) / norm
+        return weighted_sum(kernel.profile(u)) / norm
 
     # int_a^b K((s - r) / h) ds = h [C(ub) - C(ua)]; with s = r + h t the
     # first moment adds h^2 [M(ub) - M(ua)] to r times that mass
     def integral(a: float, b: float) -> float:
         (_, _, ca), (_, _, cb) = at(a), at(b)
-        return float((w * (cb - ca)).sum()) * h_resp / norm
+        return weighted_sum(cb - ca) * h_resp / norm
 
     def first_moment(a: float, b: float) -> float:
         (_, ua, ca), (_, ub, cb) = at(a), at(b)
         centres = resp * (cb - ca)
         moment = kernel.partial_moment
         spreads = h_resp * (moment(ub) - moment(ua))
-        return float((w * (centres + spreads)).sum()) * h_resp / norm
+        return weighted_sum(centres + spreads) * h_resp / norm
 
     return ResponseSlice(
         density=density,
@@ -410,7 +443,10 @@ def classify(model, query: FunctionalQuery) -> ConditionalEstimate:
         raise InvalidParameterError(f"classify got a {query.kind!r} query")
     origin = getattr(model, "origin", None)
     if origin is not None:
+        d = len(origin.schema)
         for c in query.class_columns:
+            if not 0 <= c < d:
+                raise SchemaError(f"class column index {c} out of range for {d} columns")
             col = origin.schema[c]
             vals = origin.rows[:, c]
             if col.kind != "discrete_ordered" or not np.all((vals == 0) | (vals == 1)):

@@ -120,3 +120,67 @@ def reference_loclin_eval(model, x0, weights=reference_product_weights,
             raise NoLocalDataError(f"total kernel weight {m[0, 0]} (replicate {r})")
         estimates.append(estimators._weighted_local_fit(m, rhs))
     return float(np.mean(estimates))
+
+
+def reference_covariate_weights(model, covariate_point):
+    """A KDE slice's covariate weights, stacked over all R * n replicate
+    rows, replicate by replicate from ``reference_product_weights``, and
+    the product of the covariates' bandwidths."""
+    cov = sorted(covariate_point)
+    h = model.effective_bandwidths[cov]
+    point = [float(covariate_point[j]) for j in cov]
+    w = np.concatenate([reference_product_weights(model.kernel, rep.rows, cov, point, h)
+                        for rep in model.replicates])
+    return w, float(np.prod(h))
+
+
+def reference_kde_response_slice(model, response_index, covariate_point, weights=None):
+    """A KDE's response slice the stacked way: the response column of all
+    R replicates concatenated, and every kernel pass and weighted sum
+    taken over those R * n values, jittered or not."""
+    from jitterkit import ResponseSlice, regression
+
+    w, cov_norm = weights if weights is not None else reference_covariate_weights(
+        model, covariate_point)
+    h = model.effective_bandwidths
+    h_resp = float(h[response_index])
+    kernel = model.kernel
+    resp = np.concatenate([rep.rows[:, response_index] for rep in model.replicates])
+    norm = len(resp) * h_resp * cov_norm
+    observed = model.origin.rows[:, response_index]
+    pad = regression._WINDOW_BANDWIDTHS * float(h.max()) + 1.0
+    lower, upper = float(observed.min()) - pad, float(observed.max()) + pad
+
+    def offsets_and_cdf(t):
+        u = (t - resp) / h_resp
+        return t, u, kernel.cdf(u)
+
+    ends = (offsets_and_cdf(lower), offsets_and_cdf(upper))
+    last = [ends[0]]
+
+    def at(t):
+        for kept in (*ends, last[0]):
+            if kept[0] == t:
+                return kept
+        kept = last[0] = offsets_and_cdf(t)
+        return kept
+
+    def density(s):
+        kept = last[0]
+        u = kept[1] if kept[0] == s else (s - resp) / h_resp
+        return float((w * kernel.profile(u)).sum()) / norm
+
+    def integral(a, b):
+        (_, _, ca), (_, _, cb) = at(a), at(b)
+        return float((w * (cb - ca)).sum()) * h_resp / norm
+
+    def first_moment(a, b):
+        (_, ua, ca), (_, ub, cb) = at(a), at(b)
+        centres = resp * (cb - ca)
+        spreads = h_resp * (kernel.partial_moment(ub) - kernel.partial_moment(ua))
+        return float((w * (centres + spreads)).sum()) * h_resp / norm
+
+    return ResponseSlice(density=density, lower=lower, upper=upper,
+                         response_min=float(observed.min()),
+                         response_max=float(observed.max()),
+                         integral=integral, first_moment=first_moment)

@@ -1,9 +1,10 @@
 """The benchmark's output checks pass on this checkout.
 
 Runs the ``point-eval`` and ``functionals`` workloads of ``bench/`` at a
-small n for a few rounds and puts every output through the workload's
-own checker, as ``bench/run.py`` does after its timed phase. The bench
-files are imported, never written.
+small n, and the ``oracle`` workload against its exact truth, for a few
+rounds, and puts every output through the workload's own checker, as
+``bench/run.py`` does after its timed phase. The bench files are
+imported, never written.
 """
 
 import pathlib
@@ -23,10 +24,12 @@ def bench(monkeypatch):
     return harness, run, workloads
 
 
-@pytest.mark.parametrize("name, n, rounds", [("point-eval", 3000, 8), ("functionals", 400, 4)])
+@pytest.mark.parametrize("name, n, rounds", [("point-eval", 3000, 8), ("functionals", 400, 4),
+                                              ("oracle", None, 2)])
 def test_workload_checks_pass(bench, tmp_path, name, n, rounds):
+    # the oracle workload has no data size: its densities are exact
     harness, run, workloads = bench
-    small = type("Small", (workloads.WORKLOADS[name],), {"n": n})
+    small = type("Small", (workloads.WORKLOADS[name],), {"n": n} if n else {})
     wl = small(7, harness.Tracer(available=False), str(tmp_path), str(BENCH.parent))
     wl.setup()
     results = [harness.OpResult(op, 0.0, op.call())

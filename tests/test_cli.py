@@ -187,6 +187,22 @@ class TestFitEvalCommands:
         assert len(probs) == 2
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
+    def test_repeated_class_exit_1(self, tmp_path, capsys):
+        # a class named twice would be a second row and double its share
+        path = tmp_path / "c.csv"
+        path.write_text("g,x\na,0.1\nb,0.7\na,-0.4\nb,1.2\na,0.3\n", encoding="utf-8")
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(path), "--output", str(model),
+                     "--categorical", "g", "--continuous", "x"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model), "--functional", "class_probs",
+                     "--classes", "g=a,g=a,g=b"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "more than once" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_no_local_data_exit_3(self, data_csv, tmp_path, capsys):
         model = tmp_path / "m.bin"
         main(["fit", "--input", str(data_csv), "--output", str(model), *SCHEMA_FLAGS])

@@ -710,7 +710,8 @@ class TestReplicateWeights:
     @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
     @pytest.mark.parametrize("kinds", ["cdc", "dcdc"])
     def test_covariate_weights_match_per_replicate_reference(self, kinds, kernel_name):
-        # the weights a KDE's conditional functionals stack over R * n rows
+        # the weights a KDE's conditional functionals take: one row per
+        # replicate when a conditioned covariate is jittered, else one n-vector
         from jitterkit import regression
 
         model = _interleaved_fit(fit_kde, kinds, kernel_name, 3)
@@ -718,10 +719,12 @@ class TestReplicateWeights:
         for cov in ([], [0], [1], [0, 1], [1, 2], [0, 2], list(range(len(kinds)))):
             point = {j: float(model.origin.rows[5, j]) + 0.2 for j in cov}
             got, norm = regression._covariate_weights(model, point)
-            want = np.concatenate([reference_product_weights(
+            want = np.stack([reference_product_weights(
                 model.kernel, rep.rows, cov, [point[j] for j in cov], h[cov])
                 for rep in model.replicates])
-            assert_array_equal(got, want)
+            jittered = any(kinds[j] == "d" for j in cov)
+            assert got.shape == (want.shape if jittered else want.shape[1:])
+            assert_array_equal(np.broadcast_to(got, want.shape), want)
             assert norm == float(np.prod(h[cov]))
 
     @pytest.mark.parametrize("estimator", ["gaussian", "epanechnikov", "loclin"])

@@ -39,7 +39,13 @@ from jitterkit import (
 )
 
 from jitterkit import estimators
-from conftest import discrete_dataset, mixed_dataset, reference_product_weights
+from conftest import (
+    discrete_dataset,
+    mixed_dataset,
+    reference_covariate_weights,
+    reference_kde_response_slice,
+    reference_product_weights,
+)
 
 PMFS = {
     "bernoulli": DiscretePmf.bernoulli(0.3),
@@ -230,6 +236,13 @@ class TestQueryValidation:
         with pytest.raises(InvalidParameterError):
             FunctionalQuery(kind="class_probs", response_index=0, response_kind="discrete")
 
+    @pytest.mark.parametrize("columns", [(0, 0), (2, 1, 2), (1, 3, 1, 3)])
+    def test_repeated_class_columns(self, columns):
+        # a repeated class would be counted twice in the renormalization
+        with pytest.raises(InvalidParameterError, match="more than once"):
+            FunctionalQuery(kind="class_probs", response_index=0, response_kind="discrete",
+                            class_columns=columns)
+
     def test_kind_mismatch_raises(self, binom43):
         dens = AnalyticJitteredDensity.from_pmf(binom43, NoiseSpec(0.0, 1, dims=1))
         with pytest.raises(InvalidParameterError):
@@ -377,6 +390,16 @@ class TestClassify:
             est = classify(model, q)
             assert est.value.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(est.value >= 0.0)
+
+    @pytest.mark.parametrize("columns", [(1, 9), (0, 3), (-1, 0)])
+    def test_class_column_out_of_range(self, columns):
+        from jitterkit import SchemaError
+
+        model = fit_kde(_two_class_dataset(200, seed=58), NoiseSpec(0.8, 5, dims=2),
+                        num_jitters=2, seed=59)
+        q = FunctionalQuery("class_probs", 0, "discrete", {}, class_columns=columns)
+        with pytest.raises(SchemaError, match="out of range"):
+            classify(model, q)
 
     def test_non_dummy_column_rejected(self, binom43):
         ds = discrete_dataset(binom43, 100, seed=56)
@@ -717,6 +740,121 @@ class TestKdeSliceWork:
             sl.integral(sl.lower, t)
             want = float(kernel.profile((resp - t) / h).sum()) / (len(resp) * h)
             assert sl.density(t) == want
+
+
+def _zxy_class_dataset(n, seed):
+    """z ~ binomial(4, .3), x | z ~ N(z, 1), y ~ N(0, 1), and a two-class
+    label that leans on x, dummy-coded: z and both dummies are jittered,
+    x and y are not."""
+    rng = np.random.default_rng(seed)
+    z = rng.binomial(4, 0.3, n).astype(float)
+    x = z + rng.normal(size=n)
+    y = rng.normal(size=n)
+    a = (x + rng.normal(size=n) > 1.2).astype(float)
+    schema = (ColumnSchema("z", "discrete_ordered"), ColumnSchema("x", "continuous"),
+              ColumnSchema("y", "continuous"), ColumnSchema("c=a", "discrete_ordered"),
+              ColumnSchema("c=b", "discrete_ordered"))
+    return MixedDataset(schema, np.column_stack([z, x, y, a, 1.0 - a]))
+
+
+# (response column, response kind, probe thresholds); z is jittered, x
+# is not, and c=a is a jittered dummy
+_SLICE_RESPONSES = [(0, "discrete", (-1.0, 0.0, 1.0, 3.0)),
+                    (1, "continuous", (-0.5, 1.0, 2.5)),
+                    (3, "discrete", (0.0, 1.0))]
+# covariates held: none, a jittered one, an unjittered one, and both
+_SLICE_POINTS = [{}, {4: 1.0}, {2: 0.3}, {4: 0.0, 2: -0.4}, {0: 1.0}, {0: 2.0, 2: 0.3}]
+
+
+def _outcome(f, *args):
+    try:
+        value = f(*args).value
+    except NoLocalDataError as err:
+        return type(err).__name__
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _slice_battery(model):
+    """Every functional and slice value of ``model`` over the responses
+    and covariate points above."""
+    out = []
+    for resp, kind, thresholds in _SLICE_RESPONSES:
+        for point in _SLICE_POINTS:
+            if resp in point:
+                continue
+            out.append(_outcome(cond_mean, model, FunctionalQuery("mean", resp, kind, point)))
+            for t in thresholds:
+                out.append(_outcome(cond_cdf, model,
+                                    FunctionalQuery("cdf", resp, kind, point, threshold=t)))
+            for alpha in (0.05, 0.5, 0.95):
+                out.append(_outcome(cond_quantile, model,
+                                    FunctionalQuery("quantile", resp, kind, point, alpha=alpha)))
+            sl = response_slice(model, resp, point)
+            out += [sl.density(t) for t in thresholds]
+            out += [sl.first_moment(thresholds[0], t) for t in thresholds[1:]]
+    for point in ({}, {2: 0.3}, {0: 1.0}, {0: 2.0, 2: 0.3}):
+        q = FunctionalQuery("class_probs", 3, "discrete", point, class_columns=(3, 4))
+        out.append(_outcome(classify, model, q))
+    return out
+
+
+class TestUnjitteredResponseOnce:
+    """A KDE slice takes its kernel passes over the n values of an
+    unjittered response and its weights as one n-vector when no held
+    covariate is jittered, and every value stays bit-identical to the
+    stacked slice it replaced (``reference_kde_response_slice``), which
+    takes every pass over all R * n replicate rows."""
+
+    # R * n = 10 000 in the last case is past numpy's 8 192-element buffer
+    @pytest.mark.parametrize("n, num_jitters",
+                             [(50, 1), (50, 2), (50, 3), (50, 5), (700, 1), (700, 2),
+                              (700, 3), (700, 5), (2000, 5)])
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_equals_stacked_reference(self, monkeypatch, kernel_name, n, num_jitters):
+        from jitterkit import regression
+
+        model = fit_kde(_zxy_class_dataset(n, seed=n + num_jitters), NoiseSpec(0.8, 5, dims=3),
+                        kernel=get_kernel(kernel_name), num_jitters=num_jitters, seed=90)
+        got = _slice_battery(model)
+        monkeypatch.setattr(regression, "_kde_response_slice", reference_kde_response_slice)
+        monkeypatch.setattr(regression, "_covariate_weights", reference_covariate_weights)
+        want = _slice_battery(model)
+        assert len(got) > 150
+        assert got == want
+
+    @pytest.mark.parametrize("resp, point, jittered", [
+        (1, {0: 1.0}, False), (1, {}, False), (0, {1: 0.4}, True), (0, {}, True)])
+    def test_kernel_cdf_sees_one_block_unless_jittered(self, monkeypatch, resp, point, jittered):
+        n, num_jitters = 300, 5
+        ds = mixed_dataset(ZX_MODEL, n, seed=91)
+        model = fit_kde(ds, NoiseSpec(0.8, 5, dims=1), num_jitters=num_jitters, seed=92)
+        sizes = []
+        cdf = Kernel.cdf
+        monkeypatch.setattr(Kernel, "cdf", lambda self, u: sizes.append(u.size) or cdf(self, u))
+        kind = "discrete" if jittered else "continuous"
+        cond_quantile(model, FunctionalQuery("quantile", resp, kind, point, alpha=0.6))
+        assert len(sizes) >= 3
+        assert set(sizes) == {num_jitters * n if jittered else n}
+
+    def test_slice_holds_one_block_of_weights(self):
+        # z given x at n = 2e4, R = 5: the slice keeps the (R, n) response
+        # and both window ends' offsets and CDFs, 5 R n floats, beside the
+        # weights; these are n floats, where the stacked slice kept R n
+        import tracemalloc
+
+        n, num_jitters = 20_000, 5
+        model = fit_kde(mixed_dataset(ZX_MODEL, n, seed=93), NoiseSpec(0.8, 5, dims=1),
+                        num_jitters=num_jitters, seed=94)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sl = response_slice(model, 0, {1: 0.5})
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sl.integral(sl.lower, sl.upper) > 0.0
+        floats = held / 8
+        assert 5 * num_jitters * n <= floats < 5 * num_jitters * n + 2 * n
 
 
 _KDE_PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
