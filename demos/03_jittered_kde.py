@@ -6,14 +6,13 @@ recovers the probability mass function; averaging several independent
 jitter replicates trims the extra noise the jitter adds.
 """
 
-import dataclasses
-
 import numpy as np
 
 from jitterkit import (
     ColumnSchema,
     DiscretePmf,
     GaussianConditional,
+    KdeModel,
     MixedDataset,
     NoiseSpec,
     SyntheticMixedModel,
@@ -35,8 +34,10 @@ for z, p in zip(pmf.support, pmf.probabilities):
 
 print("\n=== replicate averaging is exact averaging ===\n")
 point = [1.0]
+settings = dict(kernel=model.kernel, noise=model.noise, seed=model.seed,
+                bandwidths=model.bandwidths, transform=model.transform)
 singles = [
-    kde_eval(dataclasses.replace(model, replicates=(rep,)), point)
+    kde_eval(KdeModel.from_replicates((rep,), **settings), point)
     for rep in model.replicates
 ]
 print("per-replicate estimates:", np.round(singles, 5).tolist())

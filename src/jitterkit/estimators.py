@@ -11,17 +11,25 @@ antiderivatives (:meth:`Kernel.cdf`, :meth:`Kernel.partial_moment`) give
 the KDE functionals in closed form, and :mod:`jitterkit.quadrature`
 serves only the analytic oracle and the noise checks.
 
+Jittering moves only the discrete columns, so a model holds its dataset
+once, as ``origin``, and the data it smooths as one read-only,
+C-contiguous array per column: an n-vector (a copy of the origin's
+column) for a column that is not ``discrete_ordered``, and an (R, n)
+array whose row r is replicate r for a jittered one. A fit fills that
+layout one replicate at a time, drawing replicate r with
+:func:`~jitterkit.data.jitter`, copying its jittered columns into row r
+and dropping it, so no more than one full replicate is ever alive.
+
 Every kernel sum (``kde_eval``, ``loclin_eval`` and a KDE's conditional
 functionals) goes through :func:`product_weights`. It walks the rows in
 fixed chunks of ``_CHUNK_ROWS``, every replicate within each chunk, and
 builds the product-kernel weights one column at a time on contiguous
-column slices (replicates are column-major) in buffers reused from chunk
-to chunk, so working memory is bounded independently of n and no (n, d)
-temporary is made. Jittering moves only the discrete columns, so the
-kernel factor of any other column is the same in every replicate: it is
-computed once per chunk, from replicate 0, and combined with each
-replicate's jittered factors in column order, which keeps every weight
-bit-identical to one built from that replicate alone.
+column slices in buffers reused from chunk to chunk, so working memory is
+bounded independently of n and no (n, d) temporary is made. The kernel
+factor of an unjittered column is the same in every replicate: it is
+computed once per chunk and combined with each replicate's jittered
+factors in column order, which keeps every weight bit-identical to one
+built from that replicate alone.
 
 A Gaussian weight whose exponent ``-0.5 * sum u_j^2`` is below -700 is
 an exact 0.0 (see ``_exp``). Rows more than about 37 bandwidths from the
@@ -33,7 +41,8 @@ normalisation, which bounds the change to any result.
 
 A fit is deterministic given its inputs, so a saved model holds those
 inputs (the origin rows, noise, seed, kernel and bandwidths) and a
-digest of each replicate, not the replicates: ``load_model`` refits.
+digest of each replicate's rows, not the replicates: ``load_model``
+refits.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,23 +163,23 @@ def _kernel_factor(kernel: Kernel, column: np.ndarray, p: float, hj: float,
 def product_weights(model: _JitteredModel, columns, point, h):
     """Yield ``(r, rows, dx, w)`` for each chunk of ``_CHUNK_ROWS`` rows
     and, within it, each replicate ``r`` in turn: the chunk's ``rows``
-    slice, the offsets ``dx[j] = rows[:, columns[j]] - point[j]`` as one
-    (k, m) array, and the product-kernel weights
-    ``w = prod_j K(dx[j] / h[j])``, all 1 when ``columns`` is empty.
+    slice, the offsets ``dx[j] = column_j[rows] - point[j]`` of each of
+    ``columns`` in replicate ``r`` as one (k, m) array, and the
+    product-kernel weights ``w = prod_j K(dx[j] / h[j])``, all 1 when
+    ``columns`` is empty.
 
-    A column that :func:`~jitterkit.data.jitter` leaves untouched holds
-    the same values in every replicate, so its offsets and factor are
-    computed once per chunk, from replicate 0; with no jittered column
-    the weights, too, are computed once per chunk. The factors combine in
-    column order, ``+=`` of u^2 then one ``exp`` (Gaussian) or ``*=``
-    (Epanechnikov), so each replicate's weights are bit-identical to ones
-    built from its own rows alone. ``dx`` and ``w`` are buffers that the
-    next yield overwrites: callers read them and write into neither.
+    A column that :func:`~jitterkit.data.jitter` leaves untouched is held
+    once, as an n-vector, so its offsets and factor are computed once per
+    chunk; with no jittered column the weights, too, are computed once per
+    chunk. The factors combine in column order, ``+=`` of u^2 then one
+    ``exp`` (Gaussian) or ``*=`` (Epanechnikov), so each replicate's
+    weights are bit-identical to ones built from its own rows alone.
+    ``dx`` and ``w`` are buffers that the next yield overwrites: callers
+    read them and write into neither.
     """
-    kernel, reps = model.kernel, model.replicates
-    k, n = len(columns), reps[0].n
-    jittered = model.origin.indices_of_kind("discrete_ordered")
-    fresh = [c in jittered for c in columns]
+    kernel, data = model.kernel, model.columns
+    k, n = len(columns), model.origin.n
+    fresh = [data[c].ndim == 2 for c in columns]  # jittered: one row per replicate
     combine = np.add if kernel.name == "gaussian" else np.multiply
     for start in range(0, n, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
@@ -180,13 +190,13 @@ def product_weights(model: _JitteredModel, columns, point, h):
             dx, factors, w = np.empty((k, m)), np.empty((k, m)), np.empty(m)
         for j, c in enumerate(columns):
             if not fresh[j]:
-                _kernel_factor(kernel, reps[0].rows[rows, c], point[j], h[j], dx[j], factors[j])
-        for r, rep in enumerate(reps):
+                _kernel_factor(kernel, data[c][rows], point[j], h[j], dx[j], factors[j])
+        for r in range(model.num_jitters):
             if r == 0 or any(fresh):  # else replicate 0's weights hold for every replicate
                 # the first column's factor is the accumulator
                 for j, c in enumerate(columns):
                     if fresh[j]:
-                        _kernel_factor(kernel, rep.rows[rows, c], point[j], h[j], dx[j],
+                        _kernel_factor(kernel, data[c][r, rows], point[j], h[j], dx[j],
                                        w if j == 0 else factors[j])
                     elif j == 0:
                         np.copyto(w, factors[0])
@@ -223,8 +233,19 @@ def select_bandwidth(data) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _JitteredModel:
     """What both jittered estimators hold: the kernel, the noise and seed
-    the replicates were drawn with, the jitter replicates averaged over,
-    and the standardization and bandwidths of the smoothed columns.
+    the replicates were drawn with, the standardization and bandwidths of
+    the smoothed columns, and the data of ``num_jitters`` jitter
+    replicates of ``origin``.
+
+    The replicates are held by column, in ``columns``: one read-only,
+    C-contiguous array per column of the origin. A column that is not
+    ``discrete_ordered`` is the same in every replicate and is held once,
+    as an n-vector equal to the origin's column; a jittered column is an
+    (R, n) array whose row r is replicate r. So a model keeps
+    ``origin`` once plus R rows of each jittered column, and every reader
+    indexes these arrays. :func:`fit_kde` and :func:`fit_loclin` fill them
+    one replicate at a time; :meth:`from_replicates` packs replicates
+    drawn by hand, and :attr:`replicates` rebuilds them on demand.
 
     ``transform`` covers the smoothed columns (``smoothed_indices``), and
     ``bandwidths`` are on the standardized scale, one finite positive
@@ -237,15 +258,30 @@ class _JitteredModel:
     seed: int
     bandwidths: np.ndarray
     transform: Standardization
-    replicates: tuple[JitteredDataset, ...] = field(repr=False)
+    origin: MixedDataset
+    num_jitters: int
+    columns: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "replicates", tuple(self.replicates))
-        if not self.replicates:
+        if self.num_jitters < 1:
             raise InvalidParameterError("model needs at least one jitter replicate")
-        if any(rep.origin is not self.origin for rep in self.replicates):
-            # product_weights takes every unjittered column from replicate 0
-            raise InvalidParameterError("every jitter replicate must be drawn from one dataset")
+        if len(self.columns) != len(self.schema):
+            raise SchemaError(f"model holds {len(self.columns)} columns, "
+                              f"but its origin has {len(self.schema)}")
+        jittered = self.origin.indices_of_kind("discrete_ordered")
+        columns = []
+        for j, col in enumerate(self.columns):
+            col = np.ascontiguousarray(col, dtype=float)
+            shape = (self.num_jitters, self.origin.n) if j in jittered else (self.origin.n,)
+            if col.shape != shape:
+                raise SchemaError(f"column {self.schema[j].name!r} holds shape {col.shape}, "
+                                  f"expected {shape}")
+            if j not in jittered and not np.array_equal(col, self.origin.rows[:, j]):
+                raise SchemaError(f"the model changes the {self.schema[j].kind} column "
+                                  f"{self.schema[j].name!r}")
+            col.setflags(write=False)
+            columns.append(col)
+        object.__setattr__(self, "columns", tuple(columns))
         d = len(self.smoothed_indices)
         if len(self.transform.scales) != d:
             raise InvalidParameterError(
@@ -262,22 +298,57 @@ class _JitteredModel:
         b.setflags(write=False)
         object.__setattr__(self, "bandwidths", b)
 
+    @classmethod
+    def from_replicates(cls, replicates, **fields):
+        """A model over jitter replicates drawn by hand from one dataset;
+        ``fields`` are the model's others, ``origin``, ``num_jitters`` and
+        ``columns`` aside."""
+        replicates = tuple(replicates)
+        if not replicates:
+            raise InvalidParameterError("model needs at least one jitter replicate")
+        origin = replicates[0].origin
+        if any(rep.origin is not origin for rep in replicates):
+            raise InvalidParameterError("every jitter replicate must be drawn from one dataset")
+        jittered = origin.indices_of_kind("discrete_ordered")
+        columns = tuple(np.stack([rep.rows[:, j] for rep in replicates]) if j in jittered
+                        else origin.rows[:, j].copy() for j in range(len(origin.schema)))
+        return cls(origin=origin, num_jitters=len(replicates), columns=columns, **fields)
+
     @property
     def schema(self) -> tuple[ColumnSchema, ...]:
-        return self.replicates[0].schema
+        return self.origin.schema
 
     @property
     def smoothed_indices(self) -> tuple[int, ...]:
         """The columns the kernel smooths: all of them, unless a subclass says."""
         return tuple(range(len(self.schema)))
 
-    @property
-    def origin(self) -> MixedDataset:
-        return self.replicates[0].origin
+    def _replicate_rows(self, r: int) -> np.ndarray:
+        """Replicate ``r``'s rows, rebuilt as one C-order (n, d) array."""
+        rows = np.empty((self.origin.n, len(self.columns)))
+        for j, col in enumerate(self.columns):
+            rows[:, j] = col[r] if col.ndim == 2 else col
+        return rows
 
     @property
-    def num_jitters(self) -> int:
-        return len(self.replicates)
+    def replicates(self) -> tuple[JitteredDataset, ...]:
+        """The jitter replicates, rebuilt from ``columns``; no evaluation
+        reads them."""
+        return tuple(JitteredDataset(self.origin, self.noise, self.seed, r,
+                                     self._replicate_rows(r)) for r in range(self.num_jitters))
+
+
+def _standardize(rows: np.ndarray, names: tuple[str, ...],
+                 bandwidth) -> tuple[Standardization, np.ndarray]:
+    """The standardization of ``rows`` and their bandwidths: the
+    normal-reference ones unless ``bandwidth`` overrides them (a scalar for
+    all columns, or a sequence with one per column; stored verbatim)."""
+    transform = Standardization.from_rows(rows, names)
+    if bandwidth is None:
+        return transform, select_bandwidth(rows)
+    if np.ndim(bandwidth) == 0:
+        return transform, np.full(len(names), float(bandwidth))
+    return transform, np.asarray(bandwidth, dtype=float)
 
 
 def _jittered_fit(
@@ -286,39 +357,61 @@ def _jittered_fit(
 ) -> dict:
     """The fit steps both estimators share, returned as the base model's fields.
 
-    Draws ``num_jitters`` jitter replicates, then standardizes replicate
-    0's smoothed columns (every column but ``response_index``) and selects
-    their normal-reference bandwidths, unless ``bandwidth`` overrides them
-    (a scalar for all columns, or a sequence with one per column; stored
-    verbatim).
+    Draws ``num_jitters`` jitter replicates one at a time, keeping only
+    their jittered columns, and standardizes replicate 0's smoothed
+    columns (every column but ``response_index``) before dropping it.
     """
     if num_jitters < 1:
         raise InvalidParameterError(f"num_jitters must be >= 1, got {num_jitters}")
     categorical = [c.name for c in dataset.schema if c.kind == "categorical"]
     if categorical:
         raise SchemaError(f"categorical columns {categorical} must be dummy-coded before fitting")
-    replicates = tuple(jitter(dataset, spec, seed, r) for r in range(num_jitters))
     smoothed = [j for j in range(len(dataset.schema)) if j != response_index]
-    # numpy sums each column in an order set by the array's layout, and so
-    # the transform's last bits: a KDE standardizes a C-order copy of
-    # replicate 0, a local linear fit the F-order copy that selecting its
-    # covariates makes
-    rows = (np.ascontiguousarray(replicates[0].rows) if response_index is None
-            else replicates[0].rows[:, smoothed])
-    transform = Standardization.from_rows(rows, tuple(dataset.schema[j].name for j in smoothed))
-    if bandwidth is None:
-        bandwidths = select_bandwidth(rows)
-    elif np.ndim(bandwidth) == 0:
-        bandwidths = np.full(len(smoothed), float(bandwidth))
-    else:
-        bandwidths = np.asarray(bandwidth, dtype=float)
+    jittered = dataset.indices_of_kind("discrete_ordered")
+    columns = tuple(np.empty((num_jitters, dataset.n)) if j in jittered
+                    else dataset.rows[:, j].copy() for j in range(len(dataset.schema)))
+    for r in range(num_jitters):
+        rows = jitter(dataset, spec, seed, r).rows
+        for j in jittered:
+            columns[j][r] = rows[:, j]
+        if r == 0:
+            # numpy sums each column in an order set by the array's layout,
+            # and so the transform's last bits: a KDE standardizes a C-order
+            # copy of the replicate, a local linear fit the F-order copy that
+            # selecting its covariates makes
+            rows = np.ascontiguousarray(rows) if response_index is None else rows[:, smoothed]
+            transform, bandwidths = _standardize(
+                rows, tuple(dataset.schema[j].name for j in smoothed), bandwidth)
+        del rows  # the next replicate is drawn with none alive
     return dict(kernel=kernel, noise=spec, seed=int(seed), bandwidths=bandwidths,
-                transform=transform, replicates=replicates)
+                transform=transform, origin=dataset, num_jitters=num_jitters,
+                columns=columns)
 
 
 @dataclass(frozen=True, eq=False)
 class KdeModel(_JitteredModel):
-    """Fitted jittered kernel density estimator; it smooths every column."""
+    """Fitted jittered kernel density estimator; it smooths every column.
+
+    Its estimates divide by R * n times a product of effective bandwidths
+    (all of them for a density, the response's and the held covariates'
+    for a slice), so a model whose such products can overflow or
+    underflow is refused: R * n times the product of the effective
+    bandwidths >= 1 must be finite, and the product of those < 1 a
+    positive normal float. Every product the estimates form lies between
+    the two.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        with np.errstate(over="ignore"):
+            h = self.effective_bandwidths.tolist()
+        wide = self.num_jitters * self.origin.n * math.prod(x for x in h if x >= 1.0)
+        narrow = math.prod(x for x in h if x < 1.0)
+        if not (math.isfinite(wide) and narrow >= sys.float_info.min):
+            raise InvalidParameterError(
+                f"effective bandwidths {h} over R * n = {self.num_jitters * self.origin.n} "
+                "rows overflow or underflow the density's normalization"
+            )
 
     @property
     def effective_bandwidths(self) -> np.ndarray:
@@ -367,7 +460,7 @@ def kde_eval(model: KdeModel, point) -> float:
     totals = np.zeros(model.num_jitters)
     for r, _, _, w in product_weights(model, range(d), point, h):
         totals[r] += w.sum()
-    return float(np.mean(totals / (model.replicates[0].n * float(np.prod(h)))))
+    return float(np.mean(totals / (model.origin.n * float(np.prod(h)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,13 +481,14 @@ class LocLinModel(_JitteredModel):
 
     smoothed_indices = covariate_indices
 
-    def response_values(self, replicate: JitteredDataset) -> np.ndarray:
-        """The response the fit regresses on: the replicate's own column,
-        unless that column is jittered and the response is not."""
-        j = self.response_index
-        if self.jitter_response or self.schema[j].kind != "discrete_ordered":
-            return replicate.rows[:, j]
-        return self.origin.rows[:, j]
+    def response_values(self, r: int) -> np.ndarray:
+        """The response the fit regresses on in replicate ``r``: the
+        replicate's own column, unless that column is jittered and the
+        response is not."""
+        column = self.columns[self.response_index]
+        if column.ndim == 1:
+            return column
+        return column[r] if self.jitter_response else self.origin.rows[:, self.response_index]
 
 
 def fit_loclin(
@@ -478,7 +572,7 @@ def loclin_eval(model: LocLinModel, covariate_point) -> float:
     k = len(cov_idx)
     x0 = _finite_point(covariate_point, k, "covariate point")
     h = model.bandwidths * model.transform.scales
-    ys = [model.response_values(rep) for rep in model.replicates]
+    ys = [model.response_values(r) for r in range(model.num_jitters)]
     ms = [np.zeros((k + 1, k + 1)) for _ in ys]
     rhss = [np.zeros(k + 1) for _ in ys]
     for r, rows, dx, w in product_weights(model, cov_idx, x0, h):
@@ -496,8 +590,10 @@ def loclin_eval(model: LocLinModel, covariate_point) -> float:
     return float(np.mean(estimates))
 
 
-def _digest(rows: np.ndarray) -> str:
-    return hashlib.sha256(rows.tobytes()).hexdigest()
+def _digests(model: _JitteredModel) -> list[str]:
+    """SHA-256 of each replicate's C-order rows, rebuilt one at a time."""
+    return [hashlib.sha256(model._replicate_rows(r).tobytes()).hexdigest()
+            for r in range(model.num_jitters)]
 
 
 def save_model(model: KdeModel | LocLinModel, path) -> None:
@@ -521,7 +617,7 @@ def save_model(model: KdeModel | LocLinModel, path) -> None:
         "seed": model.seed,
         "bandwidths": model.bandwidths.tolist(),
         "schema": [[c.name, c.kind] for c in model.schema],
-        "replicate_sha256": [_digest(rep.rows) for rep in model.replicates],
+        "replicate_sha256": _digests(model),
     }
     if isinstance(model, LocLinModel):
         header["response_index"] = model.response_index
@@ -599,7 +695,7 @@ def load_model(path) -> KdeModel | LocLinModel:
                            jitter_response=header["jitter_response"], **fit)
     else:
         model = fit_kde(dataset, **fit)
-    if [_digest(rep.rows) for rep in model.replicates] != header["replicate_sha256"]:
+    if _digests(model) != header["replicate_sha256"]:
         raise NumericalError(
             f"{path}: the refitted jitter replicates do not match the artifact's SHA-256 "
             "digests: the noise RNG stream has drifted since it was written; refit the model"

@@ -212,10 +212,13 @@ def verify_membership(
     plateau endpoints, and integrates it by adaptive quadrature with
     breakpoints at the kink locations. ``density`` defaults to the
     spec's own ``eta``; passing another callable lets callers audit an
-    arbitrary candidate against the same conditions.
+    arbitrary candidate against the same conditions. ``tol`` must be
+    positive and finite.
     """
     if grid_points < 3:
         raise InvalidParameterError(f"grid_points must be >= 3, got {grid_points}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
     f = density if density is not None else (lambda x: eta_density(spec, x))
     g1, g2 = spec.gamma1, spec.gamma2
     grid = np.linspace(-1.0, 1.0, int(grid_points))

@@ -164,9 +164,8 @@ def _covariate_weights(
     cov_idx = sorted(covariate_point)
     cov_vals = np.array([float(covariate_point[j]) for j in cov_idx])
     cov_h = model.effective_bandwidths[cov_idx]
-    jittered = model.origin.indices_of_kind("discrete_ordered")
-    stacked = any(j in jittered for j in cov_idx)
-    w = np.empty((model.num_jitters if stacked else 1, model.replicates[0].n))
+    stacked = any(model.columns[j].ndim == 2 for j in cov_idx)  # a jittered covariate
+    w = np.empty((model.num_jitters if stacked else 1, model.origin.n))
     for r, rows, _, chunk in product_weights(model, cov_idx, cov_vals, cov_h):
         if r < len(w):
             w[r, rows] = chunk
@@ -182,9 +181,9 @@ def _kde_response_slice(
     ``weights`` are :func:`_covariate_weights` at ``covariate_point``, when
     the caller already has them.
 
-    A jittered (``discrete_ordered``) response is held as a C-contiguous
-    (R, n) stack of its replicates; any other response is the same in
-    every replicate and is held once, as an n-vector. Each kernel pass
+    The response is the model's own column: a C-contiguous (R, n) array
+    of its replicates when it is jittered (``discrete_ordered``), else
+    one n-vector, the same in every replicate. Each kernel pass
     runs over the response's own shape, and each weighted sum over the
     (R, n) product of weights and pass, so it adds the same R * n terms
     in the same order as one flat array of all replicates would."""
@@ -198,18 +197,14 @@ def _kde_response_slice(
     h = model.effective_bandwidths
     h_resp = float(h[response_index])
     kernel = model.kernel
-    reps = model.replicates
-    if model.origin.schema[response_index].kind == "discrete_ordered":
-        resp = np.stack([rep.rows[:, response_index] for rep in reps])
-    else:
-        resp = reps[0].rows[:, response_index]
-    num_rows = len(reps) * reps[0].n
+    resp = model.columns[response_index]
+    num_rows = model.num_jitters * model.origin.n
     norm = num_rows * h_resp * cov_norm
 
     def weighted_sum(terms: np.ndarray) -> float:
         product = w * terms
         if product.size < num_rows:  # weights and terms are both one n-vector
-            product = np.tile(product, len(reps))
+            product = np.tile(product, model.num_jitters)
         return float(product.sum())
 
     observed = model.origin.rows[:, response_index]

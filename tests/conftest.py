@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from jitterkit import ColumnSchema, DiscretePmf, MixedDataset, NoiseSpec, sample_model
+from jitterkit import ColumnSchema, DiscretePmf, MixedDataset, NoiseSpec, jitter, sample_model
 
 # the (theta, nu) battery exercised throughout: plain uniform noise up to
 # the smooth wide-shoulder member
@@ -38,6 +40,18 @@ def mixed_dataset(model, n: int, seed: int) -> MixedDataset:
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+_REPLICATES = weakref.WeakKeyDictionary()  # model -> its replicates, drawn once
+
+
+def jitter_replicates(model) -> list:
+    """The jitter replicates ``model`` averages, drawn anew with ``jitter``
+    from its origin, noise and seed, not read from the model."""
+    if model not in _REPLICATES:
+        _REPLICATES[model] = [jitter(model.origin, model.noise, model.seed, r)
+                              for r in range(model.num_jitters)]
+    return _REPLICATES[model]
 
 
 def reference_product_weights(kernel, rows, columns, point, h) -> np.ndarray:
@@ -77,7 +91,7 @@ def reference_kde_eval(model, point, weights=reference_product_weights,
     h = model.effective_bandwidths
     point = np.asarray(point, dtype=float)
     vals = []
-    for rep in model.replicates:
+    for rep in jitter_replicates(model):
         total = 0.0
         for start in range(0, rep.n, chunk_rows):
             chunk = rep.rows[start:start + chunk_rows]
@@ -98,7 +112,7 @@ def reference_loclin_eval(model, x0, weights=reference_product_weights,
     x0 = np.asarray(x0, dtype=float)
     h = model.bandwidths * model.transform.scales
     estimates = []
-    for r, rep in enumerate(model.replicates):
+    for r, rep in enumerate(jitter_replicates(model)):
         y = (rep if model.jitter_response else model.origin).rows[:, model.response_index]
         m = np.zeros((len(cov) + 1, len(cov) + 1))
         rhs = np.zeros(len(cov) + 1)
@@ -130,7 +144,7 @@ def reference_covariate_weights(model, covariate_point):
     h = model.effective_bandwidths[cov]
     point = [float(covariate_point[j]) for j in cov]
     w = np.concatenate([reference_product_weights(model.kernel, rep.rows, cov, point, h)
-                        for rep in model.replicates])
+                        for rep in jitter_replicates(model)])
     return w, float(np.prod(h))
 
 
@@ -145,7 +159,7 @@ def reference_kde_response_slice(model, response_index, covariate_point, weights
     h = model.effective_bandwidths
     h_resp = float(h[response_index])
     kernel = model.kernel
-    resp = np.concatenate([rep.rows[:, response_index] for rep in model.replicates])
+    resp = np.concatenate([rep.rows[:, response_index] for rep in jitter_replicates(model)])
     norm = len(resp) * h_resp * cov_norm
     observed = model.origin.rows[:, response_index]
     pad = regression._WINDOW_BANDWIDTHS * float(h.max()) + 1.0

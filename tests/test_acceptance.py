@@ -6,7 +6,6 @@ numerical tolerances.
 """
 
 import contextlib
-import dataclasses
 import json
 import time
 
@@ -17,6 +16,7 @@ from jitterkit import (
     ColumnSchema,
     DiscretePmf,
     FunctionalQuery,
+    KdeModel,
     MixedDataset,
     NoiseSpec,
     SyntheticMixedModel,
@@ -181,9 +181,11 @@ def test_criterion_7_jitter_averaging():
         ds = _binom_dataset(800, seed=9)
         model5 = fit_kde(ds, spec, num_jitters=5, seed=13)
         rng = np.random.default_rng(0)
+        settings = dict(kernel=model5.kernel, noise=model5.noise, seed=model5.seed,
+                        bandwidths=model5.bandwidths, transform=model5.transform)
         for p in rng.uniform(-1.0, 5.0, 100):
             singles = [
-                kde_eval(dataclasses.replace(model5, replicates=(rep,)), [p])
+                kde_eval(KdeModel.from_replicates((rep,), **settings), [p])
                 for rep in model5.replicates
             ]
             assert abs(kde_eval(model5, [p]) - np.mean(singles)) <= 1e-14

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -97,6 +98,13 @@ class TestJitterCommand:
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_output_bytes_pinned(self, data_csv, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["jitter", "--input", str(data_csv), "--output", str(out),
+                     *SCHEMA_FLAGS, "--seed", "1"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "23ef9c1b31f534bd6e0363a8e396c27d53f9d9c77dc73ffab1f885ecaf368cd3")
+
     def test_ingestion_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("z,x\n1.5,0.2\n", encoding="utf-8")
@@ -160,6 +168,39 @@ class TestFitEvalCommands:
         assert main(argv + ["--output", str(a)]) == 0
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    # the products of the effective bandwidths, about 1e-600 or R n 1e616,
+    # leave the float range: eval printed nan or 0.0 after them
+    @pytest.mark.parametrize("bandwidth", ["1e-300", "1e308,1e308"], ids=["narrow", "wide"])
+    def test_bandwidth_products_out_of_range_exit_1(self, data_csv, tmp_path, capsys,
+                                                    bandwidth):
+        model = tmp_path / "m.bin"
+        code = main(["fit", "--input", str(data_csv), "--output", str(model), *SCHEMA_FLAGS,
+                     "--bandwidth", bandwidth])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "effective bandwidths" in captured.err
+        assert not model.exists()
+
+    def test_loclin_keeps_narrow_bandwidths(self, data_csv, tmp_path, capsys):
+        # a local linear fit forms no product of bandwidths
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(data_csv), "--output", str(model), *SCHEMA_FLAGS,
+                     "--estimator", "loclin", "--response", "x", "--bandwidth", "1e-300"]) == 0
+        assert main(["eval", "--model", str(model), "--functional", "mean",
+                     "--at", "z=2"]) == 3
+        assert "total kernel weight" in capsys.readouterr().err
+
+    def test_fit_bytes_pinned(self, data_csv, tmp_path):
+        # bytes recorded from an earlier build: the artifact is the fit's
+        # inputs plus one SHA-256 per replicate's C-order rows, which no
+        # change to how a model holds its replicates may alter
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(data_csv), "--output", str(model), *SCHEMA_FLAGS,
+                     "--seed", "5", "--jitters", "2"]) == 0
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == (
+            "30f1d7f7feb2f0bd4ba11b73a8d395b54041853f359e1ff3017dbdcaa7fb96ea")
 
     def test_loclin_fit_eval(self, data_csv, tmp_path, capsys):
         model = tmp_path / "m.bin"
@@ -634,6 +675,14 @@ class TestVerifyCommand:
     def test_one_parameter_keeps_the_other_battery_values(self, capsys, flags, specs):
         assert main(["verify", *flags]) == 0
         assert _verified_specs(capsys.readouterr().out) == specs
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_exit_1(self, capsys, tol):
+        code = main(["verify", "--theta", "0.8", "--nu", "5", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "tol must be positive and finite" in captured.err
 
     def test_corrupted_density_fails(self, capsys):
         code = main(["verify", "--corrupt-eta-scale", "0.9"])

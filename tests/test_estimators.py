@@ -1,6 +1,8 @@
 """Jittered KDE and local linear regression."""
 
 import dataclasses
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -35,6 +37,7 @@ from jitterkit import (
     load_model,
     loclin_eval,
     sample_model,
+    sample_noise,
     save_model,
     select_bandwidth,
 )
@@ -42,6 +45,7 @@ from jitterkit import (
 from jitterkit import JitterkitError, estimators
 from conftest import (
     discrete_dataset,
+    jitter_replicates,
     reference_kde_eval,
     reference_loclin_eval,
     reference_product_weights,
@@ -161,13 +165,13 @@ def _single_point_model(kernel_name="gaussian"):
     origin = MixedDataset((ColumnSchema("z", "discrete_ordered"),), np.array([[0.0]]))
     rep = JitteredDataset(origin=origin, noise=SPEC, seed=0, replicate_index=0,
                           rows=np.array([[0.1]]))
-    return KdeModel(
+    return KdeModel.from_replicates(
+        (rep,),
         kernel=get_kernel(kernel_name),
         noise=SPEC,
         seed=0,
         bandwidths=np.array([1.0]),
         transform=Standardization(means=np.array([0.0]), scales=np.array([1.0])),
-        replicates=(rep,),
     )
 
 
@@ -198,13 +202,13 @@ def _dyadic_model(kernel_name, d):
     origin = MixedDataset(tuple(ColumnSchema(f"c{j}", "continuous") for j in range(d)), rows)
     rep = JitteredDataset(origin=origin, noise=NO_DISCRETE, seed=0, replicate_index=0,
                           rows=rows)
-    return KdeModel(
+    return KdeModel.from_replicates(
+        (rep,),
         kernel=get_kernel(kernel_name),
         noise=NO_DISCRETE,
         seed=0,
         bandwidths=np.full(d, 0.5),
         transform=Standardization(means=np.zeros(d), scales=np.ones(d)),
-        replicates=(rep,),
     )
 
 
@@ -267,9 +271,11 @@ class TestKdeEval:
         ds = discrete_dataset(binom43, 300, seed=11)
         model = fit_kde(ds, SPEC, num_jitters=4, seed=11)
         rng = np.random.default_rng(1)
+        settings = dict(kernel=model.kernel, noise=model.noise, seed=model.seed,
+                        bandwidths=model.bandwidths, transform=model.transform)
         for p in rng.uniform(-1, 5, 40):
             singles = [
-                kde_eval(dataclasses.replace(model, replicates=(rep,)), [p])
+                kde_eval(KdeModel.from_replicates((rep,), **settings), [p])
                 for rep in model.replicates
             ]
             assert kde_eval(model, [p]) == pytest.approx(np.mean(singles), abs=1e-14)
@@ -344,7 +350,7 @@ class TestFitLoclin:
         model = fit_loclin(ds, 0, NO_DISCRETE, seed=1, jitter_response=True)
         # jitter_response has no effect on a continuous response
         assert not model.jitter_response
-        assert_array_equal(model.response_values(model.replicates[0]), ds.rows[:, 0])
+        assert_array_equal(model.response_values(0), ds.rows[:, 0])
 
     def test_discrete_response_jittered_on_request(self, binom43):
         ds = discrete_dataset(binom43, 100, seed=2)
@@ -354,7 +360,7 @@ class TestFitLoclin:
         )
         model = fit_loclin(full, 0, SPEC, seed=2, jitter_response=True)
         assert model.jitter_response
-        vals = model.response_values(model.replicates[0])
+        vals = model.response_values(0)
         assert not np.array_equal(vals, full.rows[:, 0])
 
     def test_no_covariates_rejected(self):
@@ -459,11 +465,11 @@ def _lstsq_loclin(model, x0):
     h = model.bandwidths * model.transform.scales
     cov = list(model.covariate_indices)
     fits = []
-    for rep in model.replicates:
+    for r, rep in enumerate(jitter_replicates(model)):
         dx = rep.rows[:, cov] - x0
         sw = np.sqrt(model.kernel.profile(dx / h).prod(axis=1))
         a = np.column_stack([np.ones(len(dx)), dx])
-        beta = np.linalg.lstsq(a * sw[:, None], model.response_values(rep) * sw, rcond=None)[0]
+        beta = np.linalg.lstsq(a * sw[:, None], model.response_values(r) * sw, rcond=None)[0]
         fits.append(beta[0])
     return float(np.mean(fits))
 
@@ -491,6 +497,33 @@ class TestEvalMemory:
             tracemalloc.stop()
         assert math.isfinite(value)
         assert peak < n * 8
+
+
+class TestFitMemory:
+    """A fit fills the model one replicate at a time: it never holds more
+    than the model's columns, one replicate and the noise draw's scratch."""
+
+    def test_fit_holds_one_replicate_at_a_time(self):
+        n, num_jitters = 20_000, 5
+        ds = _mixed_dataset(1, n, seed=32)
+        ds = MixedDataset(ds.schema[:2], ds.rows[:, :2])  # z jittered, x not
+        spec = NoiseSpec(0.8, 5, dims=1)
+        fit_kde(ds, spec, num_jitters=1, seed=33)  # first-call allocations
+        tracemalloc.start()
+        try:
+            sample_noise(spec, 33, n, 0)
+            _, noise_scratch = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            model = fit_kde(ds, spec, num_jitters=num_jitters, seed=33)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # (R, n) floats of z and n of x, beside the origin the model shares
+        held = sum(col.nbytes for col in model.columns)
+        assert held == (num_jitters + 1) * n * 8
+        assert model.origin is ds
+        replicate = 2 * n * 8
+        assert peak < held + replicate + noise_scratch + n  # n bytes of small objects
 
 
 def _accumulator_weights(kernel, rows, columns, point, h):
@@ -532,10 +565,9 @@ def _replicated_models(kernel_name, rows, num_jitters=2):
         spec = NoiseSpec(0.8, 5, dims=int(first == "discrete_ordered"))
         reps = tuple(JitteredDataset(origin=origin, noise=spec, seed=0, replicate_index=r,
                                      rows=rows) for r in range(num_jitters))
-        models.append(KdeModel(kernel=get_kernel(kernel_name), noise=spec, seed=0,
-                               bandwidths=np.ones(d),
-                               transform=Standardization(np.zeros(d), np.ones(d)),
-                               replicates=reps))
+        models.append(KdeModel.from_replicates(
+            reps, kernel=get_kernel(kernel_name), noise=spec, seed=0, bandwidths=np.ones(d),
+            transform=Standardization(np.zeros(d), np.ones(d))))
     return models
 
 
@@ -721,7 +753,7 @@ class TestReplicateWeights:
             got, norm = regression._covariate_weights(model, point)
             want = np.stack([reference_product_weights(
                 model.kernel, rep.rows, cov, [point[j] for j in cov], h[cov])
-                for rep in model.replicates])
+                for rep in jitter_replicates(model)])
             jittered = any(kinds[j] == "d" for j in cov)
             assert got.shape == (want.shape if jittered else want.shape[1:])
             assert_array_equal(np.broadcast_to(got, want.shape), want)
@@ -749,7 +781,9 @@ class TestReplicateWeights:
             per_column = {1.0: 24, 2.0: 8, 3.0: 24, 4.0: 8}
         assert {p: calls.count(p) for p in set(calls)} == per_column
 
-    def test_replicates_are_column_major_and_read_only(self, tmp_path):
+    def test_model_columns_are_contiguous_and_read_only(self, tmp_path):
+        # a model holds each unjittered column once, as its own contiguous
+        # copy of the origin's, and each jittered one as an (R, n) array
         ds = _interleaved_dataset("dcdc", 40, seed=3)
         spec = NoiseSpec(0.8, 5, dims=2)
         kde = fit_kde(ds, spec, num_jitters=2, seed=4)
@@ -759,23 +793,60 @@ class TestReplicateWeights:
             save_model(model, tmp_path / "m.bin")
             models.append(load_model(tmp_path / "m.bin"))
         for model in models:
-            for rep in model.replicates:
-                assert rep.rows.flags.f_contiguous and not rep.rows.flags.writeable
-                assert rep.rows[5:9, 1].flags.c_contiguous
+            reps = jitter_replicates(model)
+            assert [col.shape for col in model.columns] == [(2, 40), (40,), (2, 40), (40,)]
+            for j, col in enumerate(model.columns):
+                assert col.flags.c_contiguous and not col.flags.writeable
+                assert not np.shares_memory(col, model.origin.rows)
                 with pytest.raises(ValueError):
-                    rep.rows[0, 0] = 1.0
+                    col[0] = 1.0
+                want = (np.stack([rep.rows[:, j] for rep in reps]) if col.ndim == 2
+                        else ds.rows[:, j])
+                assert_array_equal(col, want)
         hand = JitteredDataset(origin=ds, noise=spec, seed=0, replicate_index=0, rows=ds.rows)
         assert ds.rows.flags.c_contiguous and hand.rows.flags.f_contiguous
         assert_array_equal(hand.rows, ds.rows)
 
-    def test_replicates_share_one_origin(self):
+    def test_replicates_rebuilt_on_demand(self):
+        ds = _interleaved_dataset("dc", 30, seed=6)
+        model = fit_kde(ds, SPEC, num_jitters=3, seed=7)
+        rebuilt = model.replicates
+        assert [rep.replicate_index for rep in rebuilt] == [0, 1, 2]
+        for rep, want in zip(rebuilt, jitter_replicates(model), strict=True):
+            assert rep.origin is model.origin and rep.seed == 7
+            assert_array_equal(rep.rows, want.rows)
+        again = KdeModel.from_replicates(rebuilt, kernel=model.kernel, noise=model.noise,
+                                         seed=model.seed, bandwidths=model.bandwidths,
+                                         transform=model.transform)
+        for got, want in zip(again.columns, model.columns, strict=True):
+            assert_array_equal(got, want)
+
+    def test_from_replicates_needs_one_origin(self):
         ds = _interleaved_dataset("dc", 20, seed=5)
         other = MixedDataset(ds.schema, ds.rows.copy())
         reps = [JitteredDataset(origin=o, noise=SPEC, seed=0, replicate_index=r, rows=ds.rows)
                 for r, o in enumerate((ds, other))]
         with pytest.raises(InvalidParameterError, match="one dataset"):
-            KdeModel(kernel=get_kernel("gaussian"), noise=SPEC, seed=0, bandwidths=np.ones(2),
-                     transform=Standardization(np.zeros(2), np.ones(2)), replicates=reps)
+            KdeModel.from_replicates(reps, kernel=get_kernel("gaussian"), noise=SPEC, seed=0,
+                                     bandwidths=np.ones(2),
+                                     transform=Standardization(np.zeros(2), np.ones(2)))
+
+    def test_model_columns_checked_against_origin(self):
+        ds = _interleaved_dataset("dc", 20, seed=5)
+        fields = dict(kernel=get_kernel("gaussian"), noise=SPEC, seed=0, bandwidths=np.ones(2),
+                      transform=Standardization(np.zeros(2), np.ones(2)), origin=ds)
+        jittered = ds.rows[:, 0] + 0.25
+        KdeModel(num_jitters=2, columns=(np.stack([jittered, jittered]), ds.rows[:, 1]),
+                 **fields)
+        with pytest.raises(SchemaError, match="expected \\(2, 20\\)"):
+            KdeModel(num_jitters=2, columns=(jittered, ds.rows[:, 1]), **fields)
+        with pytest.raises(SchemaError, match="holds 1 columns"):
+            KdeModel(num_jitters=1, columns=(jittered[None],), **fields)
+        moved = ds.rows[:, 1] + 1e-12
+        with pytest.raises(SchemaError, match="continuous column 'c1'"):
+            KdeModel(num_jitters=1, columns=(jittered[None], moved), **fields)
+        with pytest.raises(InvalidParameterError, match="at least one"):
+            KdeModel(num_jitters=0, columns=(jittered[None][:0], ds.rows[:, 1]), **fields)
 
     def test_untouched_column_must_match_origin(self):
         ds = _interleaved_dataset("dc", 20, seed=5)
@@ -813,6 +884,26 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.seed == 10**400
         assert kde_eval(loaded, [1.3]) == kde_eval(model, [1.3])
+
+    # bytes recorded from an earlier save_model: how a model holds its
+    # replicates must not change them (the header digests each replicate's
+    # C-order rows)
+    @pytest.mark.parametrize("estimator, digest", [
+        ("kde", "cbed03b2b4bb3fe575c1fbcdf3615a171b6046a770b8a0d179c77e7e7f939574"),
+        ("loclin", "bbf6c75d4d6839ec4f04904bac3d05d588c039a9a514e93ebc2817fcac583bc0"),
+    ])
+    def test_artifact_bytes_pinned(self, tmp_path, estimator, digest):
+        rng = np.random.default_rng(2024)
+        z = rng.binomial(4, 0.3, 40).astype(float)
+        x = z + rng.normal(size=40)
+        ds = MixedDataset((ColumnSchema("z", "discrete_ordered"), ColumnSchema("x", "continuous")),
+                          np.column_stack([z, x]))
+        spec = NoiseSpec(0.8, 5, dims=1)
+        model = (fit_kde(ds, spec, num_jitters=3, seed=7) if estimator == "kde"
+                 else fit_loclin(ds, 1, spec, num_jitters=3, seed=7))
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_identical_fits_identical_bytes(self, tmp_path, binom43):
         ds = discrete_dataset(binom43, 120, seed=7)
@@ -890,17 +981,16 @@ def _hand_models(kde_bandwidths, loclin_bandwidths):
     origin = MixedDataset(tuple(ColumnSchema(f"c{j}", "continuous") for j in range(3)), rows)
     rep = JitteredDataset(origin=origin, noise=NO_DISCRETE, seed=0, replicate_index=0,
                           rows=rows)
-    kde = KdeModel(kernel=get_kernel("gaussian"), noise=NO_DISCRETE, seed=0,
-                   bandwidths=kde_bandwidths,
-                   transform=Standardization(means=np.zeros(3), scales=np.ones(3)),
-                   replicates=(rep,))
+    kde = KdeModel.from_replicates((rep,), kernel=get_kernel("gaussian"), noise=NO_DISCRETE,
+                                   seed=0, bandwidths=kde_bandwidths,
+                                   transform=Standardization(means=np.zeros(3), scales=np.ones(3)))
     origin2 = MixedDataset(origin.schema[:2], rows[:, :2])
     rep2 = JitteredDataset(origin=origin2, noise=NO_DISCRETE, seed=0, replicate_index=0,
                            rows=rows[:, :2])
-    loclin = LocLinModel(kernel=get_kernel("gaussian"), noise=NO_DISCRETE, seed=0,
-                         bandwidths=loclin_bandwidths,
-                         transform=Standardization(means=np.zeros(1), scales=np.ones(1)),
-                         replicates=(rep2,), response_index=0)
+    loclin = LocLinModel.from_replicates(
+        (rep2,), kernel=get_kernel("gaussian"), noise=NO_DISCRETE, seed=0,
+        bandwidths=loclin_bandwidths,
+        transform=Standardization(means=np.zeros(1), scales=np.ones(1)), response_index=0)
     return kde, loclin
 
 
@@ -920,6 +1010,36 @@ class TestModelCore:
     def test_kde_rejects_bad_bandwidths(self, bandwidths):
         with pytest.raises(InvalidParameterError, match="bandwidths"):
             _hand_models(np.array(bandwidths), [0.5])
+
+    # R n = 20 rows; products of the effective bandwidths must stay normal
+    # and finite: below 2.2e-308 the density's norm underflows (nan), and
+    # past 1.8e308 it overflows (0.0)
+    @pytest.mark.parametrize("bandwidths", [
+        [1e-300, 1e-10, 0.5], [1e300, 1e9, 0.5], [1e307, 0.5, 0.5], [1e-308, 1.0, 1.0],
+    ], ids=["narrow", "wide", "rows_overflow", "subnormal"])
+    def test_kde_rejects_bandwidth_products_out_of_range(self, bandwidths):
+        with pytest.raises(InvalidParameterError, match="effective bandwidths"):
+            _hand_models(np.array(bandwidths), [0.5])
+
+    @pytest.mark.parametrize("bandwidths", [
+        [1e-300, 1e-7, 1e300], [1e-300, 1.0, 1.0], [1e306, 1.0, 1.0],
+    ], ids=["balanced", "narrow_edge", "wide_edge"])
+    def test_kde_accepts_bandwidth_products_in_range(self, bandwidths):
+        kde, _ = _hand_models(np.array(bandwidths), [0.5])
+        assert math.isfinite(kde_eval(kde, [0.0, 0.0, 0.0]))
+
+    def test_bandwidth_product_checked_on_load(self, tmp_path):
+        ds = _continuous_dataset()
+        path = tmp_path / "m.bin"
+        save_model(fit_kde(ds, NO_DISCRETE, seed=1), path)
+        header, _, rows = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        header["bandwidths"] = [1e-300, 1e-300]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rows)
+        with pytest.raises(InvalidParameterError, match="effective bandwidths"):
+            load_model(path)
+        # a local linear fit forms no such product
+        assert fit_loclin(ds, 0, NO_DISCRETE, bandwidth=1e-300).bandwidths.tolist() == [1e-300]
 
     @pytest.mark.parametrize("bandwidth", [0.0, -0.5, math.nan])
     def test_loclin_rejects_bad_bandwidths(self, bandwidth):
@@ -959,20 +1079,22 @@ class TestModelCore:
         # copy of them, in another order, which changes the means and
         # scales in the last bit
         ds = _mixed_dataset(1, 300, seed=40)
-        model = fit_kde(ds, NoiseSpec(0.8, 5, dims=1), kernel=get_kernel(kernel_name),
-                        num_jitters=2, seed=41)
-        rows = np.ascontiguousarray(model.replicates[0].rows)
+        spec = NoiseSpec(0.8, 5, dims=1)
+        model = fit_kde(ds, spec, kernel=get_kernel(kernel_name), num_jitters=2, seed=41)
+        replicate_zero = jitter(ds, spec, 41, 0).rows
+        rows = np.ascontiguousarray(replicate_zero)
         expected = Standardization.from_rows(rows)
         assert model.transform.means.tolist() == expected.means.tolist()
         assert model.transform.scales.tolist() == expected.scales.tolist()
         assert model.bandwidths.tolist() == select_bandwidth(rows).tolist()
-        column_major = Standardization.from_rows(model.replicates[0].rows)
+        column_major = Standardization.from_rows(replicate_zero)
         assert column_major.means.tolist() != expected.means.tolist()
 
     def test_fit_loclin_standardizes_replicate_zero_covariates(self):
         ds = _mixed_dataset(1, 300, seed=42)
-        model = fit_loclin(ds, 2, NoiseSpec(0.8, 5, dims=1), num_jitters=2, seed=43)
-        cov = model.replicates[0].rows[:, [0, 1]]
+        spec = NoiseSpec(0.8, 5, dims=1)
+        model = fit_loclin(ds, 2, spec, num_jitters=2, seed=43)
+        cov = jitter(ds, spec, 43, 0).rows[:, [0, 1]]
         expected = Standardization.from_rows(cov)
         assert model.transform.means.tolist() == expected.means.tolist()
         assert model.transform.scales.tolist() == expected.scales.tolist()

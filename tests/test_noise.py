@@ -281,6 +281,13 @@ class TestVerifyMembership:
         with pytest.raises(InvalidParameterError):
             verify_membership(NoiseSpec(theta=0.0, nu=1, dims=1), grid_points=2)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # a negative tol failed as unreached quadrature, and nan passed
+        # every check
+        with pytest.raises(InvalidParameterError, match="tol must be positive and finite"):
+            verify_membership(NoiseSpec(theta=0.8, nu=5, dims=1), tol=tol)
+
     def test_report_text_fields(self):
         report = verify_membership(NoiseSpec(theta=0.4, nu=2, dims=1))
         text = report.to_text()

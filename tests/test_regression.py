@@ -33,7 +33,10 @@ from jitterkit import (
     cond_quantile,
     dummy_code,
     fit_kde,
+    fit_loclin,
     get_kernel,
+    kde_eval,
+    loclin_eval,
     response_slice,
     true_conditional,
 )
@@ -41,9 +44,12 @@ from jitterkit import (
 from jitterkit import estimators
 from conftest import (
     discrete_dataset,
+    jitter_replicates,
     mixed_dataset,
     reference_covariate_weights,
+    reference_kde_eval,
     reference_kde_response_slice,
+    reference_loclin_eval,
     reference_product_weights,
 )
 
@@ -259,13 +265,13 @@ def _constant_response_model(c=2.0, n=40):
     )
     spec = NoiseSpec(theta=0.8, nu=5, dims=0)
     rep = JitteredDataset(origin=origin, noise=spec, seed=0, replicate_index=0, rows=rows)
-    return KdeModel(
+    return KdeModel.from_replicates(
+        (rep,),
         kernel=get_kernel("gaussian"),
         noise=spec,
         seed=0,
         bandwidths=np.array([0.3, 0.3]),
         transform=Standardization(means=np.zeros(2), scales=np.ones(2)),
-        replicates=(rep,),
     )
 
 
@@ -462,7 +468,8 @@ class _QuadratureSource:
         sl = response_slice(self.model, response_index, covariate_point)
         if self.model.kernel.name == "epanechnikov":
             h = self.model.effective_bandwidths[response_index]
-            resp = np.concatenate([rep.rows[:, response_index] for rep in self.model.replicates])
+            resp = np.concatenate([rep.rows[:, response_index]
+                                   for rep in jitter_replicates(self.model)])
             breaks = np.concatenate([resp - h, resp + h])
         else:
             g1, g2 = self.model.noise.gamma1, self.model.noise.gamma2
@@ -542,9 +549,10 @@ def _recomputing_quantile(model, point, alpha):
     h = model.effective_bandwidths
     cov_idx = sorted(point)
     cov_vals = [point[j] for j in cov_idx]
-    resp = np.concatenate([rep.rows[:, 1] for rep in model.replicates])
+    reps = jitter_replicates(model)
+    resp = np.concatenate([rep.rows[:, 1] for rep in reps])
     w = np.concatenate([reference_product_weights(model.kernel, rep.rows, cov_idx, cov_vals,
-                                                  h[cov_idx]) for rep in model.replicates])
+                                                  h[cov_idx]) for rep in reps])
     norm = len(resp) * h[1] * float(np.prod(h[cov_idx]))
 
     def cum(t):
@@ -734,7 +742,7 @@ class TestKdeSliceWork:
         model = _zx_kde(kernel_name, 300, seed=87)
         kernel = model.kernel
         h = float(model.effective_bandwidths[1])
-        resp = np.concatenate([rep.rows[:, 1] for rep in model.replicates])
+        resp = np.concatenate([rep.rows[:, 1] for rep in jitter_replicates(model)])
         sl = response_slice(model, 1, {})
         for t in (-2.0, 0.0, 0.7, 1.3, 4.0):
             sl.integral(sl.lower, t)
@@ -837,9 +845,10 @@ class TestUnjitteredResponseOnce:
         assert set(sizes) == {num_jitters * n if jittered else n}
 
     def test_slice_holds_one_block_of_weights(self):
-        # z given x at n = 2e4, R = 5: the slice keeps the (R, n) response
-        # and both window ends' offsets and CDFs, 5 R n floats, beside the
-        # weights; these are n floats, where the stacked slice kept R n
+        # z given x at n = 2e4, R = 5: the slice reads the model's own (R, n)
+        # response and keeps both window ends' offsets and CDFs, 4 R n
+        # floats, beside the weights; these are n floats, where the stacked
+        # slice kept R n
         import tracemalloc
 
         n, num_jitters = 20_000, 5
@@ -854,7 +863,59 @@ class TestUnjitteredResponseOnce:
             tracemalloc.stop()
         assert sl.integral(sl.lower, sl.upper) > 0.0
         floats = held / 8
-        assert 5 * num_jitters * n <= floats < 5 * num_jitters * n + 2 * n
+        assert 4 * num_jitters * n <= floats < 4 * num_jitters * n + 2 * n
+
+
+def _chunk_battery(model):
+    """A few of each functional of ``model``: responses jittered or not,
+    covariates held none, jittered, unjittered or both."""
+    Q = FunctionalQuery
+    return [_outcome(f, model, q) for f, q in (
+        (cond_mean, Q("mean", 0, "discrete", {1: 0.5})),
+        (cond_mean, Q("mean", 1, "continuous", {0: 1.0})),
+        (cond_mean, Q("mean", 1, "continuous", {2: 0.3})),
+        (cond_cdf, Q("cdf", 0, "discrete", {1: 0.5}, threshold=1)),
+        (cond_cdf, Q("cdf", 1, "continuous", {0: 2.0}, threshold=1.7)),
+        (cond_quantile, Q("quantile", 0, "discrete", {}, alpha=0.6)),
+        (cond_quantile, Q("quantile", 1, "continuous", {0: 1.0, 2: 0.3}, alpha=0.3)),
+        (classify, Q("class_probs", 3, "discrete", {1: 0.5}, class_columns=(3, 4))),
+    )]
+
+
+class TestModelColumns:
+    """A model holds each unjittered column once and each jittered one as
+    an (R, n) array; every estimate stays bit-identical to the references
+    in ``conftest``, which redraw the replicates with ``jitter`` and work
+    replicate by replicate or on stacked replicates, at n past one
+    32 768-row chunk."""
+
+    @pytest.mark.parametrize("num_jitters", [1, 2, 5])
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_past_one_chunk_equals_references(self, monkeypatch, kernel_name, num_jitters):
+        from jitterkit import regression
+
+        n = 33_000
+        ds = _zxy_class_dataset(n, seed=num_jitters)
+        kernel = get_kernel(kernel_name)
+        model = fit_kde(ds, NoiseSpec(0.8, 5, dims=3), kernel=kernel,
+                        num_jitters=num_jitters, seed=95)
+        points = [[1.0, 0.5, 0.0, 1.0, 0.0], [2.0, 2.5, -0.3, 0.0, 1.0],
+                  [0.0, -0.5, 0.4, 0.0, 1.0]]
+        got = [kde_eval(model, p) for p in points]
+        assert got == [reference_kde_eval(model, p) for p in points]
+        assert min(got) > 0.0
+        zx = MixedDataset(ds.schema[:2], ds.rows[:, :2])
+        for response, jitter_response in ((1, False), (0, False), (0, True)):
+            loclin = fit_loclin(zx, response, NoiseSpec(0.8, 5, dims=1), kernel=kernel,
+                                num_jitters=num_jitters, seed=96,
+                                jitter_response=jitter_response)
+            for x0 in ([0.5], [2.0]):
+                assert loclin_eval(loclin, x0) == reference_loclin_eval(loclin, x0)
+        got = _chunk_battery(model)
+        monkeypatch.setattr(regression, "_kde_response_slice", reference_kde_response_slice)
+        monkeypatch.setattr(regression, "_covariate_weights", reference_covariate_weights)
+        assert got == _chunk_battery(model)
+        assert all(isinstance(v, (float, list)) for v in got)
 
 
 _KDE_PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
