@@ -347,14 +347,20 @@ def run_eval(args) -> int:
     if isinstance(model, LocLinModel):
         if functional != "mean":
             raise InvalidParameterError("loclin models evaluate the conditional mean only")
+        response = names[model.response_index]
+        if args.response not in (None, response):
+            _column_index(names, args.response, "--response")  # an unknown name: data error
+            raise InvalidParameterError(f"this loclin model's response is {response!r}, "
+                                        f"not {args.response!r}")
+        if response in at:
+            raise InvalidParameterError(f"--at must not set the response column {response!r}")
         cov_names = [names[j] for j in model.covariate_indices]
         missing = [n for n in cov_names if n not in at]
         if missing:
             raise InvalidParameterError(f"--at must set every covariate; missing {missing}")
         point = [at[n] for n in cov_names]
         value = loclin_eval(model, point)
-        _write_rows(args.output, header,
-                    [["mean", names[model.response_index], "", at_text, repr(value), ""]])
+        _write_rows(args.output, header, [["mean", response, "", at_text, repr(value), ""]])
         return EXIT_OK
 
     assert isinstance(model, KdeModel)
@@ -571,6 +577,10 @@ def main(argv=None) -> int:
     except (NumericalError, QuantileSearchError, NoLocalDataError) as exc:
         print(f"jitterkit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"jitterkit: usage error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run() -> None:

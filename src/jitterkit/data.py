@@ -54,7 +54,8 @@ class MixedDataset:
 
     Discrete columns hold integer-valued floats; categorical columns hold
     label codes (indices into the schema's ``levels``). Missing values
-    are rejected at construction.
+    are rejected at construction. ``rows`` is a read-only, column-major
+    copy of the given rows, so each column is one contiguous vector.
     """
 
     schema: tuple[ColumnSchema, ...]
@@ -65,7 +66,7 @@ class MixedDataset:
         names = [c.name for c in schema]
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names: {names}")
-        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=float))
+        rows = np.array(self.rows, dtype=float, order="F")
         if rows.ndim != 2 or rows.shape[1] != len(schema):
             raise SchemaError(
                 f"rows must be a 2-d matrix with {len(schema)} columns, got shape {rows.shape}"
@@ -112,6 +113,20 @@ class MixedDataset:
         return tuple(j for j, c in enumerate(self.schema) if c.kind == kind)
 
 
+def read_only(values, order: str) -> np.ndarray:
+    """``values`` as a read-only float array, contiguous in ``order`` ("C"
+    or "F"), that no caller can write to: an array that already is one,
+    over memory that takes no writes, is kept; anything else is copied, so
+    an array its caller may write to later is never aliased or frozen."""
+    array = np.asarray(values, dtype=float)
+    base = array.base
+    if (array.flags.writeable or (isinstance(base, np.ndarray) and base.flags.writeable)
+            or not array.flags[f"{order}_CONTIGUOUS"]):
+        array = np.array(array, order=order)
+        array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class JitteredDataset:
     """One jitter replicate: discrete columns shifted by sampled noise.
@@ -120,7 +135,9 @@ class JitteredDataset:
     which construction checks; each jittered entry differs from its
     original by less than gamma2. ``rows`` is read-only and column-major
     (Fortran order), so a column, or a run of rows of one, is a
-    contiguous slice; rows given in another layout are copied into it.
+    contiguous slice. Rows that no one can write to (see
+    :func:`read_only`), such as :func:`jitter`'s own buffer, are kept;
+    others are copied, so a caller's later writes cannot reach them.
     """
 
     origin: MixedDataset
@@ -130,7 +147,7 @@ class JitteredDataset:
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rows = np.asfortranarray(np.asarray(self.rows, dtype=float))
+        rows = read_only(self.rows, "F")
         if rows.shape != self.origin.rows.shape:
             raise SchemaError(
                 f"jittered rows shape {rows.shape} != origin {self.origin.rows.shape}"
@@ -140,7 +157,6 @@ class JitteredDataset:
                 rows[:, j], self.origin.rows[:, j]
             ):
                 raise SchemaError(f"jittered rows change the {col.kind} column {col.name!r}")
-        rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -173,6 +189,7 @@ def jitter(
     if disc:
         eps = sample_noise(spec, seed, dataset.n, replicate_index)
         rows[:, disc] += eps
+    rows.setflags(write=False)  # so the replicate keeps this buffer, not a copy
     return JitteredDataset(
         origin=dataset,
         noise=spec,
@@ -258,9 +275,10 @@ def standardize(dataset: MixedDataset) -> tuple[MixedDataset, Standardization]:
     scaled values are no longer integers. The transform record inverts
     the map exactly.
     """
-    transform = Standardization.from_rows(dataset.rows, dataset.column_names)
+    rows = np.ascontiguousarray(dataset.rows)  # column sums round by layout, as in a KDE fit
+    transform = Standardization.from_rows(rows, dataset.column_names)
     schema = tuple(ColumnSchema(c.name, "continuous") for c in dataset.schema)
-    return MixedDataset(schema=schema, rows=transform.apply(dataset.rows)), transform
+    return MixedDataset(schema=schema, rows=transform.apply(rows)), transform
 
 
 def _format_cell(value: float, kind: str, levels: tuple[str, ...] | None) -> str:

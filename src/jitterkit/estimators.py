@@ -13,12 +13,12 @@ serves only the analytic oracle and the noise checks.
 
 Jittering moves only the discrete columns, so a model holds its dataset
 once, as ``origin``, and the data it smooths as one read-only,
-C-contiguous array per column: an n-vector (a copy of the origin's
-column) for a column that is not ``discrete_ordered``, and an (R, n)
-array whose row r is replicate r for a jittered one. A fit fills that
-layout one replicate at a time, drawing replicate r with
-:func:`~jitterkit.data.jitter`, copying its jittered columns into row r
-and dropping it, so no more than one full replicate is ever alive.
+C-contiguous array per column: the origin's own column, a view, for a
+column that is not ``discrete_ordered``, and an (R, n) array whose row
+r is replicate r for a jittered one. A fit fills those one replicate at
+a time, drawing replicate r with :func:`~jitterkit.data.jitter`, copying
+its jittered columns into row r and dropping it, so no more than one full
+replicate is ever alive.
 
 Every kernel sum (``kde_eval``, ``loclin_eval`` and a KDE's conditional
 functionals) goes through :func:`product_weights`. It walks the rows in
@@ -63,6 +63,7 @@ from .data import (
     MixedDataset,
     Standardization,
     jitter,
+    read_only,
 )
 from .errors import (
     InsufficientDataError,
@@ -237,15 +238,14 @@ class _JitteredModel:
     the smoothed columns, and the data of ``num_jitters`` jitter
     replicates of ``origin``.
 
-    The replicates are held by column, in ``columns``: one read-only,
-    C-contiguous array per column of the origin. A column that is not
-    ``discrete_ordered`` is the same in every replicate and is held once,
-    as an n-vector equal to the origin's column; a jittered column is an
-    (R, n) array whose row r is replicate r. So a model keeps
-    ``origin`` once plus R rows of each jittered column, and every reader
-    indexes these arrays. :func:`fit_kde` and :func:`fit_loclin` fill them
-    one replicate at a time; :meth:`from_replicates` packs replicates
-    drawn by hand, and :attr:`replicates` rebuilds them on demand.
+    A model is given ``jittered``, one (R, n) array per
+    ``discrete_ordered`` column in column order, row r being replicate r.
+    Every reader indexes ``columns``: one read-only, C-contiguous array
+    per column of the origin, that (R, n) array for a jittered column and
+    else the origin's own column, a view, the same in every replicate.
+    :func:`fit_kde` and :func:`fit_loclin` fill the jittered arrays one
+    replicate at a time; :meth:`from_replicates` packs replicates drawn by
+    hand, and :attr:`replicates` rebuilds them on demand.
 
     ``transform`` covers the smoothed columns (``smoothed_indices``), and
     ``bandwidths`` are on the standardized scale, one finite positive
@@ -260,27 +260,23 @@ class _JitteredModel:
     transform: Standardization
     origin: MixedDataset
     num_jitters: int
-    columns: tuple[np.ndarray, ...] = field(repr=False)
+    jittered: tuple[np.ndarray, ...] = field(repr=False)
+    columns: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.num_jitters < 1:
             raise InvalidParameterError("model needs at least one jitter replicate")
-        if len(self.columns) != len(self.schema):
-            raise SchemaError(f"model holds {len(self.columns)} columns, "
-                              f"but its origin has {len(self.schema)}")
-        jittered = self.origin.indices_of_kind("discrete_ordered")
-        columns = []
-        for j, col in enumerate(self.columns):
-            col = np.ascontiguousarray(col, dtype=float)
-            shape = (self.num_jitters, self.origin.n) if j in jittered else (self.origin.n,)
-            if col.shape != shape:
+        indices = self.origin.indices_of_kind("discrete_ordered")
+        if len(self.jittered) != len(indices):
+            raise SchemaError(f"model holds {len(self.jittered)} jittered columns, "
+                              f"but its origin has {len(indices)}")
+        columns = list(self.origin.rows.T)
+        for j, col in zip(indices, self.jittered):
+            col = columns[j] = read_only(col, "C")
+            if col.shape != (self.num_jitters, self.origin.n):
                 raise SchemaError(f"column {self.schema[j].name!r} holds shape {col.shape}, "
-                                  f"expected {shape}")
-            if j not in jittered and not np.array_equal(col, self.origin.rows[:, j]):
-                raise SchemaError(f"the model changes the {self.schema[j].kind} column "
-                                  f"{self.schema[j].name!r}")
-            col.setflags(write=False)
-            columns.append(col)
+                                  f"expected {(self.num_jitters, self.origin.n)}")
+        object.__setattr__(self, "jittered", tuple(columns[j] for j in indices))
         object.__setattr__(self, "columns", tuple(columns))
         d = len(self.smoothed_indices)
         if len(self.transform.scales) != d:
@@ -302,17 +298,16 @@ class _JitteredModel:
     def from_replicates(cls, replicates, **fields):
         """A model over jitter replicates drawn by hand from one dataset;
         ``fields`` are the model's others, ``origin``, ``num_jitters`` and
-        ``columns`` aside."""
+        ``jittered`` aside."""
         replicates = tuple(replicates)
         if not replicates:
             raise InvalidParameterError("model needs at least one jitter replicate")
         origin = replicates[0].origin
         if any(rep.origin is not origin for rep in replicates):
             raise InvalidParameterError("every jitter replicate must be drawn from one dataset")
-        jittered = origin.indices_of_kind("discrete_ordered")
-        columns = tuple(np.stack([rep.rows[:, j] for rep in replicates]) if j in jittered
-                        else origin.rows[:, j].copy() for j in range(len(origin.schema)))
-        return cls(origin=origin, num_jitters=len(replicates), columns=columns, **fields)
+        jittered = tuple(np.stack([rep.rows[:, j] for rep in replicates])
+                         for j in origin.indices_of_kind("discrete_ordered"))
+        return cls(origin=origin, num_jitters=len(replicates), jittered=jittered, **fields)
 
     @property
     def schema(self) -> tuple[ColumnSchema, ...]:
@@ -367,13 +362,12 @@ def _jittered_fit(
     if categorical:
         raise SchemaError(f"categorical columns {categorical} must be dummy-coded before fitting")
     smoothed = [j for j in range(len(dataset.schema)) if j != response_index]
-    jittered = dataset.indices_of_kind("discrete_ordered")
-    columns = tuple(np.empty((num_jitters, dataset.n)) if j in jittered
-                    else dataset.rows[:, j].copy() for j in range(len(dataset.schema)))
+    indices = dataset.indices_of_kind("discrete_ordered")
+    jittered = tuple(np.empty((num_jitters, dataset.n)) for _ in indices)
     for r in range(num_jitters):
         rows = jitter(dataset, spec, seed, r).rows
-        for j in jittered:
-            columns[j][r] = rows[:, j]
+        for j, col in zip(indices, jittered):
+            col[r] = rows[:, j]
         if r == 0:
             # numpy sums each column in an order set by the array's layout,
             # and so the transform's last bits: a KDE standardizes a C-order
@@ -383,9 +377,11 @@ def _jittered_fit(
             transform, bandwidths = _standardize(
                 rows, tuple(dataset.schema[j].name for j in smoothed), bandwidth)
         del rows  # the next replicate is drawn with none alive
+    for col in jittered:
+        col.setflags(write=False)  # so the model keeps these arrays, not copies
     return dict(kernel=kernel, noise=spec, seed=int(seed), bandwidths=bandwidths,
                 transform=transform, origin=dataset, num_jitters=num_jitters,
-                columns=columns)
+                jittered=jittered)
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,7 +620,7 @@ def save_model(model: KdeModel | LocLinModel, path) -> None:
         header["jitter_response"] = model.jitter_response
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("ascii") + b"\n")
-        np.lib.format.write_array(fh, model.origin.rows, allow_pickle=False)
+        np.lib.format.write_array(fh, np.ascontiguousarray(model.origin.rows), allow_pickle=False)
 
 
 # each header field's JSON shape: a type, [shape] for a list of any length,

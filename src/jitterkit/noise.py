@@ -191,13 +191,18 @@ def sample_noise(
         raise InvalidParameterError(f"count must be nonnegative, got {count}")
     rng = noise_stream(seed, replicate_index)
     shape = (int(count), spec.dims)
-    u = rng.random(shape) - 0.5
+    # in place, so no more than the two draws are alive at once
+    u = rng.random(shape)
+    u -= 0.5
     # rng.random() can return exactly 0.0; keep draws strictly inside the support
     u[u == -0.5] = 0.0
     if spec.theta == 0.0:
         return u
     b = rng.beta(float(spec.nu), float(spec.nu), size=shape)
-    return u + spec.theta * (b - 0.5)
+    b -= 0.5
+    b *= spec.theta
+    u += b
+    return u
 
 
 def verify_membership(

@@ -211,6 +211,50 @@ class TestFitEvalCommands:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[1].split(",")[0] == "mean"
 
+    @pytest.mark.parametrize("query, named", [
+        (["--response", "z", "--at", "z=1"], "response is 'x', not 'z'"),
+        (["--at", "z=1,x=5"], "must not set the response column 'x'"),
+        (["--response", "x", "--at", "z=1,x=5"], "must not set the response column 'x'"),
+    ])
+    def test_loclin_eval_refuses_another_response_exit_1(self, data_csv, tmp_path, capsys,
+                                                         query, named):
+        # a local linear model has one response: naming another, or
+        # conditioning on its own, is refused as a KDE functional refuses it
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(data_csv), "--output", str(model),
+                     *SCHEMA_FLAGS, "--estimator", "loclin", "--response", "x"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--functional", "mean",
+                     "--response", "x", "--at", "z=1"]) == 0
+        named_own = capsys.readouterr().out
+        assert main(["eval", "--model", str(model), "--functional", "mean",
+                     "--at", "z=1"]) == 0
+        assert capsys.readouterr().out == named_own
+        code = main(["eval", "--model", str(model), "--functional", "mean", *query])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_out_of_memory_exit_1(self, data_csv, tmp_path, capsys, monkeypatch):
+        # a fit too large to allocate is refused in one line, with no artifact
+        import jitterkit.cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array")
+
+        monkeypatch.setattr(jitterkit.cli, "fit_kde", no_memory)
+        model = tmp_path / "m.bin"
+        code = main(["fit", "--input", str(data_csv), "--output", str(model), *SCHEMA_FLAGS,
+                     "--jitters", "1000000000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("jitterkit: usage error: out of memory: "
+                                "Unable to allocate 596. GiB for an array\n")
+        assert not model.exists()
+
     def test_classify_via_cli(self, tmp_path, capsys):
         rng = np.random.default_rng(11)
         path = tmp_path / "c.csv"

@@ -1,5 +1,7 @@
 """Dataset ingestion, dummy coding, jittering, standardization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from jitterkit import (
     DegenerateColumnError,
     IngestionError,
     InsufficientDataError,
+    JitteredDataset,
     MixedDataset,
     NoiseSpec,
     SchemaError,
@@ -96,6 +99,17 @@ class TestMixedDataset:
         with pytest.raises(ValueError):
             ds.rows[0, 0] = 5.0
 
+    def test_rows_column_major_own_copy(self):
+        # each column is one contiguous vector, and the caller's array stays
+        # the caller's: writable, and no longer read by the dataset
+        rows = np.array([[1.0, 2.0], [0.0, -1.5], [3.0, 0.25]])
+        ds = MixedDataset(ZX, rows)
+        assert ds.rows.flags.f_contiguous and not ds.rows.flags.writeable
+        assert not np.shares_memory(ds.rows, rows)
+        assert rows.flags.writeable
+        rows[0, 0] = np.nan
+        assert_array_equal(ds.rows, [[1.0, 2.0], [0.0, -1.5], [3.0, 0.25]])
+
 
 class TestDummyCode:
     def _dataset(self):
@@ -173,6 +187,30 @@ class TestJitter:
         with pytest.raises(SchemaError):
             jitter(ds, NoiseSpec(theta=0.4, nu=2, dims=2), seed=0)
 
+    def test_replicate_keeps_no_caller_array(self):
+        ds = self._dataset(20)
+        spec = NoiseSpec(theta=0.8, nu=5, dims=1)
+        for order in ("C", "F"):
+            rows = np.array(ds.rows, order=order)
+            rows[:, 0] += 0.25
+            jd = JitteredDataset(origin=ds, noise=spec, seed=0, replicate_index=0, rows=rows)
+            assert jd.rows.flags.f_contiguous and not jd.rows.flags.writeable
+            assert not np.shares_memory(jd.rows, rows) and rows.flags.writeable
+            rows[:, 1] = 99.0
+            assert_array_equal(jd.rows[:, 1], ds.rows[:, 1])
+        # a read-only view of a writable array is copied too
+        rows = np.array(ds.rows, order="F")
+        view = rows.view()
+        view.setflags(write=False)
+        jd = JitteredDataset(origin=ds, noise=spec, seed=0, replicate_index=0, rows=view)
+        assert not np.shares_memory(jd.rows, rows)
+        # what no one can write to is kept: jitter's own buffer, another
+        # replicate's rows
+        drawn = jitter(ds, spec, seed=1)
+        again = JitteredDataset(origin=ds, noise=spec, seed=1, replicate_index=0,
+                                rows=drawn.rows)
+        assert again.rows is drawn.rows
+
     def test_no_discrete_columns_noop(self):
         schema = (ColumnSchema("x", "continuous"),)
         ds = MixedDataset(schema, np.array([[0.5], [1.5]]))
@@ -205,6 +243,19 @@ class TestStandardize:
         _, tr = standardize(ds)
         assert tr.means[0] == pytest.approx(0.0, abs=1e-12)
         assert tr.scales[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_output_bytes_pinned(self):
+        # bytes recorded from an earlier standardize(), when datasets were
+        # row-major: numpy's column sums round by layout, and so would the
+        # means and scales if they were taken over the column-major rows
+        rng = np.random.default_rng(19)
+        rows = np.column_stack([rng.integers(0, 5, 1000).astype(float),
+                                rng.normal(2, 3, 1000), rng.normal(-1, 0.5, 1000)])
+        ds = MixedDataset(ZX + (ColumnSchema("y", "continuous"),), rows)
+        out, tr = standardize(ds)
+        digest = hashlib.sha256(np.ascontiguousarray(out.rows).tobytes() + tr.means.tobytes()
+                                + tr.scales.tobytes()).hexdigest()
+        assert digest == "35f36a01984f297a24dd7dd1d387a3c6254e867894ac4d52a5e284c0c50f9159"
 
     def test_zero_variance_column(self):
         ds = MixedDataset((ColumnSchema("x", "continuous"),), np.ones((5, 1)))

@@ -46,7 +46,9 @@ from jitterkit import JitterkitError, estimators
 from conftest import (
     discrete_dataset,
     jitter_replicates,
+    reference_covariate_weights,
     reference_kde_eval,
+    reference_kde_response_slice,
     reference_loclin_eval,
     reference_product_weights,
 )
@@ -518,7 +520,7 @@ class TestFitMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # (R, n) floats of z and n of x, beside the origin the model shares
+        # (R, n) floats of z and a view of x, beside the origin the model shares
         held = sum(col.nbytes for col in model.columns)
         assert held == (num_jitters + 1) * n * 8
         assert model.origin is ds
@@ -782,8 +784,8 @@ class TestReplicateWeights:
         assert {p: calls.count(p) for p in set(calls)} == per_column
 
     def test_model_columns_are_contiguous_and_read_only(self, tmp_path):
-        # a model holds each unjittered column once, as its own contiguous
-        # copy of the origin's, and each jittered one as an (R, n) array
+        # a model views each unjittered column in its column-major origin
+        # and holds each jittered one as its own (R, n) array
         ds = _interleaved_dataset("dcdc", 40, seed=3)
         spec = NoiseSpec(0.8, 5, dims=2)
         kde = fit_kde(ds, spec, num_jitters=2, seed=4)
@@ -795,17 +797,19 @@ class TestReplicateWeights:
         for model in models:
             reps = jitter_replicates(model)
             assert [col.shape for col in model.columns] == [(2, 40), (40,), (2, 40), (40,)]
+            assert [j for j, col in enumerate(model.columns)
+                    if any(col is held for held in model.jittered)] == [0, 2]
             for j, col in enumerate(model.columns):
                 assert col.flags.c_contiguous and not col.flags.writeable
-                assert not np.shares_memory(col, model.origin.rows)
+                assert np.shares_memory(col, model.origin.rows) == (col.ndim == 1)
                 with pytest.raises(ValueError):
                     col[0] = 1.0
                 want = (np.stack([rep.rows[:, j] for rep in reps]) if col.ndim == 2
                         else ds.rows[:, j])
                 assert_array_equal(col, want)
+        # rows no one can write to are kept, not copied
         hand = JitteredDataset(origin=ds, noise=spec, seed=0, replicate_index=0, rows=ds.rows)
-        assert ds.rows.flags.c_contiguous and hand.rows.flags.f_contiguous
-        assert_array_equal(hand.rows, ds.rows)
+        assert ds.rows.flags.f_contiguous and hand.rows is ds.rows
 
     def test_replicates_rebuilt_on_demand(self):
         ds = _interleaved_dataset("dc", 30, seed=6)
@@ -836,17 +840,80 @@ class TestReplicateWeights:
         fields = dict(kernel=get_kernel("gaussian"), noise=SPEC, seed=0, bandwidths=np.ones(2),
                       transform=Standardization(np.zeros(2), np.ones(2)), origin=ds)
         jittered = ds.rows[:, 0] + 0.25
-        KdeModel(num_jitters=2, columns=(np.stack([jittered, jittered]), ds.rows[:, 1]),
-                 **fields)
+        model = KdeModel(num_jitters=2, jittered=(np.stack([jittered, jittered]),), **fields)
+        # a model is given no unjittered column: it reads the origin's own,
+        # so none can differ from it
+        assert model.columns[1].base is ds.rows
+        assert_array_equal(model.columns[0], [jittered, jittered])
         with pytest.raises(SchemaError, match="expected \\(2, 20\\)"):
-            KdeModel(num_jitters=2, columns=(jittered, ds.rows[:, 1]), **fields)
-        with pytest.raises(SchemaError, match="holds 1 columns"):
-            KdeModel(num_jitters=1, columns=(jittered[None],), **fields)
-        moved = ds.rows[:, 1] + 1e-12
-        with pytest.raises(SchemaError, match="continuous column 'c1'"):
-            KdeModel(num_jitters=1, columns=(jittered[None], moved), **fields)
+            KdeModel(num_jitters=2, jittered=(jittered,), **fields)
+        with pytest.raises(SchemaError, match="holds 0 jittered columns, but its origin has 1"):
+            KdeModel(num_jitters=1, jittered=(), **fields)
+        with pytest.raises(SchemaError, match="holds 2 jittered columns"):
+            KdeModel(num_jitters=1, jittered=(jittered[None], jittered[None]), **fields)
         with pytest.raises(InvalidParameterError, match="at least one"):
-            KdeModel(num_jitters=0, columns=(jittered[None][:0], ds.rows[:, 1]), **fields)
+            KdeModel(num_jitters=0, jittered=(jittered[None][:0],), **fields)
+
+    def test_caller_writes_reach_neither_dataset_nor_model(self):
+        # a dataset copies the rows it is given, and a model given a
+        # writable jittered array copies it too
+        source = _interleaved_dataset("dc", 30, seed=8)
+        rows = np.array(source.rows)
+        ds = MixedDataset(source.schema, rows)
+        model = fit_kde(ds, SPEC, num_jitters=2, seed=3)
+        density, replicate = kde_eval(model, [1.0, 0.5]), model.replicates[1].rows
+        rows[:] = np.nan
+        assert np.all(np.isfinite(ds.rows))
+        assert kde_eval(model, [1.0, 0.5]) == density
+        assert_array_equal(model.replicates[1].rows, replicate)
+        given = np.stack([jitter_replicates(model)[r].rows[:, 0] for r in range(2)])
+        hand = KdeModel(jittered=(given,), **{f: getattr(model, f) for f in (
+            "kernel", "noise", "seed", "bandwidths", "transform", "origin", "num_jitters")})
+        assert not np.shares_memory(hand.columns[0], given) and given.flags.writeable
+        given[:] = np.nan
+        assert kde_eval(hand, [1.0, 0.5]) == density
+
+    @pytest.mark.parametrize("num_jitters", [1, 2, 5])
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_origin_views_past_one_chunk_equal_references(self, monkeypatch, kernel_name,
+                                                          num_jitters):
+        # columns 0 and 2 are unjittered, read in place from the origin; at
+        # n = 33 000 every sum spans two 32 768-row chunks
+        from jitterkit import cond_cdf, cond_quantile, regression
+
+        n, kinds = 33_000, "cdcd"
+        model = _interleaved_fit(fit_kde, kinds, kernel_name, num_jitters, n=n,
+                                 seed=num_jitters)
+        assert all(np.shares_memory(model.columns[j], model.origin.rows) for j in (0, 2))
+        points = _probe_points(model.origin.rows, model.effective_bandwidths)
+        got = [kde_eval(model, p) for p in points]
+        assert got == [reference_kde_eval(model, p) for p in points]
+        assert got[-1] == 0.0 and max(got) > 0.0
+        Q = FunctionalQuery
+        queries = [(cond_mean, Q("mean", 0, "continuous", {1: 1.0})),
+                   (cond_mean, Q("mean", 1, "discrete", {0: 0.5, 2: 1.0})),
+                   (cond_cdf, Q("cdf", 2, "continuous", {3: 2.0}, threshold=1.0)),
+                   (cond_cdf, Q("cdf", 3, "discrete", {0: 0.0}, threshold=1)),
+                   (cond_quantile, Q("quantile", 3, "discrete", {2: 1.5}, alpha=0.6)),
+                   (cond_quantile, Q("quantile", 0, "continuous", {}, alpha=0.3))]
+
+        def functionals():
+            return [(e.value, e.denominator_mass) for e in (f(model, q) for f, q in queries)]
+
+        got = functionals()
+        monkeypatch.setattr(regression, "_kde_response_slice", reference_kde_response_slice)
+        monkeypatch.setattr(regression, "_covariate_weights", reference_covariate_weights)
+        assert got == functionals()
+        for response, jitter_response in ((0, False), (3, False), (3, True)):
+            loclin = _interleaved_fit(fit_loclin, kinds, kernel_name, num_jitters, n=n,
+                                      seed=num_jitters, response_index=response,
+                                      jitter_response=jitter_response)
+            cov = list(loclin.covariate_indices)
+            points = _probe_points(loclin.origin.rows[:, cov],
+                                   loclin.bandwidths * loclin.transform.scales)
+            got = [_outcome(loclin_eval, loclin, p) for p in points]
+            assert got == [_outcome(reference_loclin_eval, loclin, p) for p in points]
+            assert got[-1] == "NoLocalDataError" and isinstance(got[0], float)
 
     def test_untouched_column_must_match_origin(self):
         ds = _interleaved_dataset("dc", 20, seed=5)

@@ -1,6 +1,7 @@
 """Noise family: beta CDF, density shape, sampling, membership checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,20 @@ class TestSampleNoise:
             sample_noise(spec, seed=-1, count=10)
         with pytest.raises(InvalidParameterError):
             sample_noise(spec, seed=1, count=10, replicate_index=-2)
+
+    def test_peak_memory_two_draws(self):
+        # the arithmetic runs in place: no more than the uniform and the
+        # beta draw are alive at once
+        n = 20_000
+        spec = NoiseSpec(theta=0.8, nu=5, dims=1)
+        sample_noise(spec, seed=3, count=n)  # first-call allocations
+        tracemalloc.start()
+        try:
+            sample_noise(spec, seed=3, count=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * n * 8
 
     def test_coordinates_within_row_independentish(self):
         # crude: sample correlation across coordinates is near zero
