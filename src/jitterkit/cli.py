@@ -272,7 +272,8 @@ def _parse_point(text) -> dict[str, float]:
     for item in _split_names(text):
         if "=" not in item:
             raise InvalidParameterError(f"bad covariate assignment {item!r}; use name=value")
-        name, _, value = item.partition("=")
+        # at the last "=", so a dummy column such as "g=a" can be set
+        name, _, value = item.rpartition("=")
         name = name.strip()
         if name in point:
             raise InvalidParameterError(f"covariate {name!r} is given more than once")

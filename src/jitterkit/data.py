@@ -281,12 +281,40 @@ def standardize(dataset: MixedDataset) -> tuple[MixedDataset, Standardization]:
     return MixedDataset(schema=schema, rows=transform.apply(rows)), transform
 
 
-def _format_cell(value: float, kind: str, levels: tuple[str, ...] | None) -> str:
-    if kind == "categorical" and levels is not None:
-        return levels[int(value)]
-    if kind == "discrete_ordered" and float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+def _format_column(values: list[float], col: ColumnSchema, jittered: bool) -> list[str]:
+    """The CSV cells of one column: a categorical code as its label, a value
+    of an unjittered discrete column (an integer) as an int, any other value
+    by ``repr``, so it reads back as the same float."""
+    if col.kind == "categorical" and col.levels is not None:
+        return [col.levels[int(v)] for v in values]
+    if col.kind == "discrete_ordered" and not jittered:
+        return [str(int(v)) for v in values]
+    return list(map(repr, values))
+
+
+def _parse_column(path, tokens: tuple[str, ...], col: ColumnSchema) -> np.ndarray:
+    """One numeric column's floats, parsed in one pass and checked at once.
+    Only a column that fails is walked cell by cell, to name the first bad
+    cell's row."""
+    discrete = col.kind == "discrete_ordered"
+    try:
+        vals = np.fromiter(map(float, tokens), float, len(tokens))
+        if not discrete or np.all(np.isfinite(vals) & (np.trunc(vals) == vals)):
+            return vals
+    except ValueError:
+        pass
+    for i, tok in enumerate(tokens):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise IngestionError(
+                f"{path}: cannot parse {tok!r} at row {i + 1}, column {col.name!r}"
+            ) from None
+        if discrete and not value.is_integer():
+            raise IngestionError(
+                f"{path}: non-integer value {tok!r} at row {i + 1}, "
+                f"column {col.name!r} (discrete_ordered)"
+            )
 
 
 def load_csv(path, schema: tuple[ColumnSchema, ...] | list[ColumnSchema]) -> MixedDataset:
@@ -295,6 +323,11 @@ def load_csv(path, schema: tuple[ColumnSchema, ...] | list[ColumnSchema]) -> Mix
     Discrete columns must be integer-valued, missing cells are rejected,
     and categorical columns are label-encoded against the lexicographically
     sorted set of observed values (recorded in the returned schema).
+
+    The file is read column by column: each numeric column is parsed by one
+    ``map(float, ...)`` and checked at once, and a bad cell raises an
+    :class:`~jitterkit.errors.IngestionError` naming its row and column,
+    the first in column order and then row order.
     """
     schema = tuple(schema)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -307,7 +340,7 @@ def load_csv(path, schema: tuple[ColumnSchema, ...] | list[ColumnSchema]) -> Mix
                 f"{path}: header {header} does not match schema names "
                 f"{[c.name for c in schema]}"
             )
-        raw = [row for row in reader]
+        raw = list(reader)
 
     ncol = len(schema)
     for i, row in enumerate(raw):
@@ -316,33 +349,18 @@ def load_csv(path, schema: tuple[ColumnSchema, ...] | list[ColumnSchema]) -> Mix
 
     out_schema = []
     columns = []
-    for j, col in enumerate(schema):
-        tokens = [row[j] for row in raw]
-        for i, tok in enumerate(tokens):
-            if tok == "":
-                raise IngestionError(
-                    f"{path}: missing value at row {i + 1}, column {col.name!r}"
-                )
+    for col, tokens in zip(schema, zip(*raw) if raw else [()] * ncol):
+        if "" in tokens:
+            raise IngestionError(
+                f"{path}: missing value at row {tokens.index('') + 1}, column {col.name!r}"
+            )
         if col.kind == "categorical":
             levels = tuple(sorted(set(tokens)))
             code = {lev: k for k, lev in enumerate(levels)}
-            columns.append(np.array([code[t] for t in tokens], dtype=float))
+            columns.append(np.fromiter(map(code.__getitem__, tokens), float, len(tokens)))
             out_schema.append(ColumnSchema(col.name, "categorical", levels))
             continue
-        vals = np.empty(len(tokens))
-        for i, tok in enumerate(tokens):
-            try:
-                vals[i] = float(tok)
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: cannot parse {tok!r} at row {i + 1}, column {col.name!r}"
-                ) from None
-            if col.kind == "discrete_ordered" and not vals[i].is_integer():
-                raise IngestionError(
-                    f"{path}: non-integer value {tok!r} at row {i + 1}, "
-                    f"column {col.name!r} (discrete_ordered)"
-                )
-        columns.append(vals)
+        columns.append(_parse_column(path, tokens, col))
         out_schema.append(col)
 
     rows = np.column_stack(columns) if raw else np.empty((0, ncol))
@@ -354,18 +372,15 @@ def write_csv(dataset: MixedDataset | JitteredDataset, path) -> None:
 
     Floats are written with ``repr`` so a round trip is value-identical;
     categorical codes are written as their original labels. Jittered
-    datasets write their (non-integer) discrete values verbatim.
+    datasets write their (non-integer) discrete values verbatim. Each
+    column is formatted once, from its ``tolist()``, and the rows go out
+    in one ``writerows``: the bytes are those of writing cell by cell.
     """
-    schema = dataset.schema
     jittered = isinstance(dataset, JitteredDataset)
+    columns = [_format_column(dataset.rows[:, j].tolist(), col, jittered)
+               for j, col in enumerate(dataset.schema)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([c.name for c in schema])
-        for row in dataset.rows:
-            cells = []
-            for value, col in zip(row, schema):
-                if jittered and col.kind == "discrete_ordered":
-                    cells.append(repr(float(value)))
-                else:
-                    cells.append(_format_cell(value, col.kind, col.levels))
-            writer.writerow(cells)
+        writer.writerow([c.name for c in dataset.schema])
+        # a dataset of no columns still writes one (empty) line per row
+        writer.writerows(zip(*columns) if columns else [()] * dataset.n)

@@ -9,7 +9,9 @@ evaluation uses the effective per-column bandwidth ``b_j * scale_j`` on
 original units. Nothing here integrates numerically: the kernel's
 antiderivatives (:meth:`Kernel.cdf`, :meth:`Kernel.partial_moment`) give
 the KDE functionals in closed form, and :mod:`jitterkit.quadrature`
-serves only the analytic oracle and the noise checks.
+serves only the analytic oracle and the noise checks. The Gaussian
+kernel's CDF is ``scipy.special.ndtr``, imported on its first call, so
+fitting, saving, loading and point evaluation load no scipy module.
 
 Jittering moves only the discrete columns, so a model holds its dataset
 once, as ``origin``, and the data it smooths as one read-only,
@@ -55,8 +57,8 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
+from . import _scipy
 from .data import (
     ColumnSchema,
     JitteredDataset,
@@ -123,7 +125,7 @@ class Kernel:
         """Antiderivative ``int_{-inf}^u K(t) dt``."""
         u = np.asarray(u, dtype=float)
         if self.name == "gaussian":
-            return scipy.special.ndtr(u)
+            return _scipy.ndtr(u)
         u = np.clip(u, -1.0, 1.0)
         return 0.5 + 0.75 * (u - u * u * u / 3.0)
 

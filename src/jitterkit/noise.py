@@ -23,8 +23,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
+from . import _scipy
 from .errors import InvalidParameterError
 from .quadrature import adaptive_integral
 
@@ -139,7 +139,7 @@ def beta_cdf(nu: int, x: float) -> float:
         return 1.0
     if math.isnan(x):
         raise InvalidParameterError("beta_cdf needs a number, got nan")
-    return float(scipy.special.betainc(a, a, x))
+    return float(_scipy.betainc(a, a, x))
 
 
 def eta_density(spec: NoiseSpec, x: float) -> float:

@@ -24,8 +24,8 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
+from . import _scipy
 from .errors import (
     InvalidParameterError,
     SchemaError,
@@ -214,11 +214,11 @@ class GaussianConditional:
 
     def cdf(self, x: float, z: float) -> float:
         s = self._positive_scale(z)
-        return float(scipy.special.ndtr((x - self.mean(z)) / s))
+        return float(_scipy.ndtr((x - self.mean(z)) / s))
 
     def quantile(self, alpha: float, z: float) -> float:
         s = self._positive_scale(z)
-        return float(self.mean(z) + s * scipy.special.ndtri(alpha))
+        return float(self.mean(z) + s * _scipy.ndtri(alpha))
 
     def sample(self, rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-import scipy
-
+from . import _scipy
 from .errors import InvalidParameterError, NumericalError
 
 
@@ -42,7 +41,7 @@ def adaptive_integral(
     if a == b:
         return 0.0
     pts = sorted({float(p) for p in breakpoints if a < float(p) < b})
-    out = scipy.integrate.quad(
+    out = _scipy.quad(
         f,
         a,
         b,

@@ -34,6 +34,12 @@ and its covariate weights once unless a held covariate is jittered; each
 kernel pass runs over n values, or R * n where the data differ. Every
 weighted sum still adds the R * n products of all replicates in one
 order, so each estimate is bit-identical to one from stacked replicates.
+
+A KDE slice takes a kernel CDF pass at each end of its window on the
+first integral that reads that end, and keeps it after. So a slice read
+only through its density takes no CDF pass (and so never loads
+``scipy.special``), while every functional takes the passes it took
+before, in the same order.
 """
 
 from __future__ import annotations
@@ -215,22 +221,25 @@ def _kde_response_slice(
     upper = r_max + pad
 
     # each kernel CDF pass is kept with its offsets (t - resp) / h_resp:
-    # the window's ends, which the denominator and every integral from the
-    # floor use, and the last other t, which is the next integer segment's
-    # lower end in a discrete quantile and the point a density follows
+    # a window end's from its first use on, since the denominator and every
+    # integral from the floor read it, and the last other t's, which is the
+    # next integer segment's lower end in a discrete quantile and the point
+    # a density follows. A slice read only through its density takes none.
     def offsets_and_cdf(t: float) -> tuple[float, np.ndarray, np.ndarray]:
         u = (t - resp) / h_resp
         return t, u, kernel.cdf(u)
 
-    ends = (offsets_and_cdf(lower), offsets_and_cdf(upper))
-    last = [ends[0]]
+    ends = {}
+    last = [(math.nan,)]  # a nan t, which no t equals
 
     def at(t: float) -> tuple[float, np.ndarray, np.ndarray]:
-        for kept in (*ends, last[0]):
-            if kept[0] == t:
-                return kept
-        kept = last[0] = offsets_and_cdf(t)
-        return kept
+        if t == lower or t == upper:
+            if t not in ends:
+                ends[t] = offsets_and_cdf(t)
+            return ends[t]
+        if last[0][0] != t:
+            last[0] = offsets_and_cdf(t)
+        return last[0]
 
     def density(s: float) -> float:
         # the kernel is symmetric, so (s - resp) / h_resp serves as well as its negative

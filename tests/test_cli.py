@@ -288,6 +288,26 @@ class TestFitEvalCommands:
         assert "more than once" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_at_sets_a_dummy_column(self, tmp_path, capsys):
+        # "g=a=1" sets the dummy column "g=a": the value follows the last "="
+        from jitterkit import kde_eval, load_model
+
+        rng = np.random.default_rng(12)
+        path = tmp_path / "g.csv"
+        lines = ["z,x,g"] + [f"{rng.integers(0, 4)},{rng.normal():.5f},{'abc'[rng.integers(3)]}"
+                             for _ in range(120)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(path), "--output", str(model), "--discrete", "z",
+                     "--continuous", "x", "--categorical", "g", "--jitters", "2"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--functional", "density",
+                     "--at", "z=1,x=0.5,g=a=1,g=b=0,g=c=0"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        fitted = load_model(model)
+        assert [c.name for c in fitted.schema] == ["z", "x", "g=a", "g=b", "g=c"]
+        assert row.split(",")[4] == repr(kde_eval(fitted, [1.0, 0.5, 1.0, 0.0, 0.0]))
+
     def test_no_local_data_exit_3(self, data_csv, tmp_path, capsys):
         model = tmp_path / "m.bin"
         main(["fit", "--input", str(data_csv), "--output", str(model), *SCHEMA_FLAGS])

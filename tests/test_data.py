@@ -79,6 +79,71 @@ class TestLoadCsv:
         assert_array_equal(ds1.rows, ds2.rows)
         assert ds1.schema == ds2.schema
 
+    def test_unparsable_token_names_cell(self, tmp_path):
+        p = _write(tmp_path / "d.csv", "z,x\n1,0.5\n2,1.5\n0,abc\n")
+        with pytest.raises(IngestionError, match=r"cannot parse 'abc' at row 3, column 'x'"):
+            load_csv(p, ZX)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_discrete_names_row(self, tmp_path, token):
+        p = _write(tmp_path / "d.csv", f"z,x\n1,0.5\n{token},1.5\n")
+        with pytest.raises(IngestionError, match=rf"'{token}' at row 2, column 'z'"):
+            load_csv(p, ZX)
+
+    def test_first_bad_cell_in_column_order(self, tmp_path):
+        # column z's non-integer in row 3 comes before column x's bad token in row 1
+        p = _write(tmp_path / "d.csv", "z,x\n1,abc\n2,1.5\n2.5,0.0\n")
+        with pytest.raises(IngestionError, match=r"non-integer value '2.5' at row 3, column 'z'"):
+            load_csv(p, ZX)
+
+    def test_quoted_label_round_trips(self, tmp_path):
+        p = _write(tmp_path / "d.csv", 'c,x\n"a,b",0.5\nc,1.5\n"a,b",-2.0\n')
+        schema = (ColumnSchema("c", "categorical"), ColumnSchema("x", "continuous"))
+        ds1 = load_csv(p, schema)
+        assert ds1.schema[0].levels == ("a,b", "c")
+        out = tmp_path / "out.csv"
+        write_csv(ds1, out)
+        assert out.read_bytes().startswith(b'c,x\r\n"a,b",0.5\r\n')
+        ds2 = load_csv(out, schema)
+        assert_array_equal(ds1.rows, ds2.rows)
+        assert ds1.schema == ds2.schema
+
+
+def _mixed_with_labels(n=300, seed=31):
+    rng = np.random.default_rng(seed)
+    levels = ("a,b", "c", 'd"e')
+    z = rng.integers(-3, 6, n)
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6, n)  # reprs of 5 to 20 digits
+    rows = np.column_stack([z, x, rng.integers(0, 3, n)]).astype(float)
+    schema = (ColumnSchema("z", "discrete_ordered"), ColumnSchema("x", "continuous"),
+              ColumnSchema("g", "categorical", levels))
+    return MixedDataset(schema, rows)
+
+
+class TestWriteCsvBytes:
+    """Pinned ``write_csv`` bytes of datasets that need every cell format:
+    integers, float reprs of 5 to 20 digits and labels that need quoting.
+    Each file reads back as the rows it was written from."""
+
+    def test_mixed_dataset_bytes_pinned(self, tmp_path):
+        ds = _mixed_with_labels()
+        write_csv(ds, tmp_path / "m.csv")
+        assert hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest() == (
+            "76ed1b72c78bf0d237a54df38411299b41eefb29f140a47e2b59c79e359c653f")
+        back = load_csv(tmp_path / "m.csv", [ColumnSchema(c.name, c.kind) for c in ds.schema])
+        assert back.schema == ds.schema
+        assert_array_equal(back.rows, ds.rows)
+
+    def test_jittered_dataset_bytes_pinned(self, tmp_path):
+        ds = _mixed_with_labels()
+        jittered = jitter(ds, NoiseSpec(0.8, 5, dims=1), seed=7, replicate_index=2)
+        write_csv(jittered, tmp_path / "j.csv")
+        assert hashlib.sha256((tmp_path / "j.csv").read_bytes()).hexdigest() == (
+            "57c942ae5c95e8e1922ae16169ee35e3159e69dad7fb2a0a8be945e633889276")
+        schema = [ColumnSchema("z", "continuous"), ColumnSchema("x", "continuous"),
+                  ColumnSchema("g", "categorical")]
+        assert_array_equal(load_csv(tmp_path / "j.csv", schema).rows, jittered.rows)
+
 
 class TestMixedDataset:
     def test_duplicate_names(self):

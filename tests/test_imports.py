@@ -1,4 +1,5 @@
-"""Import hygiene: scipy submodules load on first use, not at import.
+"""Import hygiene: no scipy module loads at import, and each scipy
+submodule loads on the first call that needs it.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported scipy.stats and friends.
@@ -16,16 +17,14 @@ import numpy as np
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-HEAVY = ("scipy.stats", "scipy.integrate", "scipy.special")
 
-# Runs the given CLI argv lists in order and prints, as JSON, the heavy
-# scipy submodules loaded after the import and after each command.
-_PROBE = f"""
+# Runs the given CLI argv lists in order and prints, as JSON, the scipy
+# modules loaded after the import and after each command.
+_PROBE = """
 import json, sys
-heavy = {HEAVY!r}
-loaded = lambda: sorted(m for m in heavy if m in sys.modules)
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 from jitterkit import cli
-report = {{"import": loaded(), "modules": len(sys.modules), "codes": [], "after": []}}
+report = {"import": loaded(), "modules": len(sys.modules), "codes": [], "after": []}
 for argv in json.loads(sys.argv[1]):
     report["codes"].append(cli.main(argv))
     report["after"].append(loaded())
@@ -41,6 +40,13 @@ def _probe(*commands: list[str]) -> dict:
 
 
 @pytest.fixture
+def model_config(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"margin": {"family": "binomial", "n": 4, "p": 0.3}}))
+    return path
+
+
+@pytest.fixture
 def data_csv(tmp_path):
     rng = np.random.default_rng(3)
     lines = ["z,x"] + [f"{rng.integers(0, 5)},{rng.normal():.6f}" for _ in range(80)]
@@ -53,6 +59,41 @@ def test_import_cli_is_lean():
     report = _probe()
     assert report["import"] == []
     assert report["modules"] <= 300
+
+
+def test_import_jitterkit_loads_no_scipy():
+    code = "import sys, jitterkit; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_benchmark_loads_no_scipy(model_config, tmp_path):
+    # kde_atom_mae reads only slice densities, which take no kernel CDF
+    argv = ["benchmark", "--model-config", str(model_config), "--n-grid", "60,120",
+            "--seeds", "2", "--output", str(tmp_path / "b.csv")]
+    report = _probe(argv)
+    assert report["codes"] == [0]
+    assert report["import"] == report["after"][0] == []
+
+
+@pytest.mark.parametrize("functional", [
+    ["mean"], ["cdf", "--threshold", "2"], ["quantile", "--alpha", "0.6"]])
+def test_gaussian_kde_functional_is_what_loads_scipy_special(functional, data_csv, tmp_path):
+    # a Gaussian kernel's CDF is scipy.special.ndtr: the one scipy load left
+    # in a subcommand that does not verify
+    model = str(tmp_path / "kde.model")
+    commands = [
+        ["fit", "--input", str(data_csv), "--output", model, "--discrete", "z",
+         "--continuous", "x"],
+        ["eval", "--model", model, "--response", "z", "--at", "x=0.1", "--functional",
+         *functional],
+    ]
+    report = _probe(*commands)
+    assert report["codes"] == [0, 0]
+    assert report["after"][0] == []
+    assert "scipy.special" in report["after"][1]
+    assert "scipy.integrate" not in report["after"][1]
 
 
 def test_fit_and_density_eval_skip_scipy_special(data_csv, tmp_path):

@@ -673,9 +673,22 @@ def _counting(monkeypatch, name):
 
 
 class TestKdeSliceWork:
-    """A KDE slice takes each kernel CDF pass once: the window's ends when
-    it is built, then each new threshold; classify builds the covariate
+    """A KDE slice takes each kernel CDF pass once: each window end on its
+    first use, then each new threshold; classify builds the covariate
     weights once. Kept passes give the values fresh ones give."""
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_density_alone_takes_no_kernel_cdf(self, kernel_name, monkeypatch):
+        # the kde_atom_mae of `jitterkit benchmark` reads a slice this way
+        model = _zx_kde(kernel_name, 300, seed=79)
+        calls = _counting_kernel_cdf(monkeypatch)
+        sl = response_slice(model, 0, {})
+        densities = [sl.density(float(z)) for z in range(5)]
+        assert calls == []
+        monkeypatch.undo()
+        ended = response_slice(model, 0, {})
+        ended.integral(ended.lower, ended.upper)  # both window ends taken
+        assert densities == [ended.density(float(z)) for z in range(5)]
 
     def test_cond_mean_kernel_cdf_calls(self, monkeypatch):
         # the floor and the top, shared by the denominator and the moment
@@ -846,9 +859,9 @@ class TestUnjitteredResponseOnce:
 
     def test_slice_holds_one_block_of_weights(self):
         # z given x at n = 2e4, R = 5: the slice reads the model's own (R, n)
-        # response and keeps both window ends' offsets and CDFs, 4 R n
-        # floats, beside the weights; these are n floats, where the stacked
-        # slice kept R n
+        # response, and a fresh one holds only the weights, n floats, where
+        # the stacked slice kept R n; the first integral over the window
+        # keeps both ends' offsets and CDFs, 4 R n floats, beside them
         import tracemalloc
 
         n, num_jitters = 20_000, 5
@@ -858,12 +871,13 @@ class TestUnjitteredResponseOnce:
         try:
             before = tracemalloc.get_traced_memory()[0]
             sl = response_slice(model, 0, {1: 0.5})
-            held = tracemalloc.get_traced_memory()[0] - before
+            built = (tracemalloc.get_traced_memory()[0] - before) / 8
+            assert sl.integral(sl.lower, sl.upper) > 0.0
+            held = (tracemalloc.get_traced_memory()[0] - before) / 8
         finally:
             tracemalloc.stop()
-        assert sl.integral(sl.lower, sl.upper) > 0.0
-        floats = held / 8
-        assert 4 * num_jitters * n <= floats < 4 * num_jitters * n + 2 * n
+        assert built < 2 * n
+        assert 4 * num_jitters * n <= held < 4 * num_jitters * n + 2 * n
 
 
 def _chunk_battery(model):
