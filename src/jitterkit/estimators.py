@@ -16,11 +16,20 @@ fitting, saving, loading and point evaluation load no scipy module.
 Jittering moves only the discrete columns, so a model holds its dataset
 once, as ``origin``, and the data it smooths as one read-only,
 C-contiguous array per column: the origin's own column, a view, for a
-column that is not ``discrete_ordered``, and an (R, n) array whose row
-r is replicate r for a jittered one. A fit fills those one replicate at
-a time, drawing replicate r with :func:`~jitterkit.data.jitter`, copying
-its jittered columns into row r and dropping it, so no more than one full
-replicate is ever alive.
+column that is not ``discrete_ordered`` (or that no evaluation reads
+jittered: a local linear model's unjittered response), and an (R, n)
+array whose row r is replicate r for a jittered one. A fit fills those
+one replicate at a time, drawing replicate r with
+:func:`~jitterkit.data.jitter`, copying its jittered columns into row r
+and dropping it, so no more than one full replicate is ever alive.
+
+A jitter replicate belongs to its dataset, noise, seed and index, not to
+an estimator, so every fit on one ``MixedDataset`` object takes its
+(R, n) arrays from one memo, ``_DRAWS``, keyed on the dataset and on
+(noise, seed, R, column), and draws only what the memo lacks. Three fits
+of one dataset with one noise, seed and R hold the same arrays. The memo
+holds datasets and arrays weakly, so it keeps nothing alive that no
+model holds.
 
 Every kernel sum (``kde_eval``, ``loclin_eval`` and a KDE's conditional
 functionals) goes through :func:`product_weights`. It walks the rows in
@@ -54,6 +63,7 @@ import json
 import math
 import os
 import sys
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +84,7 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .noise import NoiseSpec
+from .noise import NoiseSpec, _whole
 
 _KERNEL_NAMES = ("gaussian", "epanechnikov")
 _RIDGE_FACTOR = 1e-8
@@ -240,14 +250,17 @@ class _JitteredModel:
     the smoothed columns, and the data of ``num_jitters`` jitter
     replicates of ``origin``.
 
-    A model is given ``jittered``, one (R, n) array per
-    ``discrete_ordered`` column in column order, row r being replicate r.
+    A model is given ``jittered``, one (R, n) array per column of
+    ``jittered_indices`` in column order, row r being replicate r: every
+    ``discrete_ordered`` column but one that no evaluation reads jittered.
     Every reader indexes ``columns``: one read-only, C-contiguous array
-    per column of the origin, that (R, n) array for a jittered column and
+    per column of the origin, that (R, n) array for a held column and
     else the origin's own column, a view, the same in every replicate.
-    :func:`fit_kde` and :func:`fit_loclin` fill the jittered arrays one
-    replicate at a time; :meth:`from_replicates` packs replicates drawn by
-    hand, and :attr:`replicates` rebuilds them on demand.
+    :func:`fit_kde` and :func:`fit_loclin` take the held arrays from the
+    memo of their dataset's draws, drawing one replicate at a time on a
+    miss, so models fitted from one dataset with one noise, seed and R
+    share them; :meth:`from_replicates` packs replicates drawn by hand,
+    and :attr:`replicates` rebuilds them on demand.
 
     ``transform`` covers the smoothed columns (``smoothed_indices``), and
     ``bandwidths`` are on the standardized scale, one finite positive
@@ -268,7 +281,7 @@ class _JitteredModel:
     def __post_init__(self):
         if self.num_jitters < 1:
             raise InvalidParameterError("model needs at least one jitter replicate")
-        indices = self.origin.indices_of_kind("discrete_ordered")
+        indices = self.jittered_indices
         if len(self.jittered) != len(indices):
             raise SchemaError(f"model holds {len(self.jittered)} jittered columns, "
                               f"but its origin has {len(indices)}")
@@ -307,8 +320,9 @@ class _JitteredModel:
         origin = replicates[0].origin
         if any(rep.origin is not origin for rep in replicates):
             raise InvalidParameterError("every jitter replicate must be drawn from one dataset")
-        jittered = tuple(np.stack([rep.rows[:, j] for rep in replicates])
-                         for j in origin.indices_of_kind("discrete_ordered"))
+        held = _held_indices(origin, fields.get("response_index"),
+                             fields.get("jitter_response", False))
+        jittered = tuple(np.stack([rep.rows[:, j] for rep in replicates]) for j in held)
         return cls(origin=origin, num_jitters=len(replicates), jittered=jittered, **fields)
 
     @property
@@ -320,11 +334,23 @@ class _JitteredModel:
         """The columns the kernel smooths: all of them, unless a subclass says."""
         return tuple(range(len(self.schema)))
 
+    @property
+    def jittered_indices(self) -> tuple[int, ...]:
+        """The columns held as (R, n) arrays: every ``discrete_ordered``
+        one, unless a subclass says."""
+        return _held_indices(self.origin)
+
     def _replicate_rows(self, r: int) -> np.ndarray:
-        """Replicate ``r``'s rows, rebuilt as one C-order (n, d) array."""
+        """Replicate ``r``'s rows, rebuilt as one C-order (n, d) array. A
+        jittered column the model does not hold is drawn again with
+        :func:`~jitterkit.data.jitter`."""
         rows = np.empty((self.origin.n, len(self.columns)))
         for j, col in enumerate(self.columns):
             rows[:, j] = col[r] if col.ndim == 2 else col
+        dropped = [j for j in self.origin.indices_of_kind("discrete_ordered")
+                   if j not in self.jittered_indices]
+        if dropped:
+            rows[:, dropped] = jitter(self.origin, self.noise, self.seed, r).rows[:, dropped]
         return rows
 
     @property
@@ -348,15 +374,65 @@ def _standardize(rows: np.ndarray, names: tuple[str, ...],
     return transform, np.asarray(bandwidth, dtype=float)
 
 
+def _held_indices(origin: MixedDataset, response_index: int | None = None,
+                  jitter_response: bool = False) -> tuple[int, ...]:
+    """The columns a model holds per replicate: every ``discrete_ordered``
+    one but a local linear model's response when it is not jittered, whose
+    replicates no evaluation reads."""
+    return tuple(j for j in origin.indices_of_kind("discrete_ordered")
+                 if j != response_index or jitter_response)
+
+
+# The jittered (R, n) arrays of every fit, per dataset and then per
+# (noise, seed, R, column). Weak both ways: an entry lives only as long as
+# its dataset, and an array only as long as some model holds it.
+_DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _jittered_columns(dataset: MixedDataset, spec: NoiseSpec, seed: int, num_jitters: int,
+                      indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Replicates 0 to R - 1 of each of ``indices``, as read-only (R, n)
+    arrays: the memo's where it holds them, else fresh draws, which it
+    then holds.
+
+    A miss draws the replicates one at a time and keeps only the missing
+    columns; with no column asked for it draws replicate 0 alone, for
+    :func:`~jitterkit.data.jitter`'s checks of the noise and seed. Two fits
+    that miss at once each draw, and the memo keeps the later arrays,
+    bit-identical to the earlier: a race repeats a draw and changes no
+    result.
+    """
+    draws = _DRAWS.setdefault(dataset, weakref.WeakValueDictionary())
+    try:
+        # the seeds that name one noise stream are one key
+        keys = [(spec, _whole(seed, "seed", 0), num_jitters, j) for j in indices]
+    except InvalidParameterError:
+        keys = [None] * len(indices)  # an invalid seed, which jitter refuses below
+    columns = [draws.get(key) for key in keys]
+    fresh = {i: np.empty((num_jitters, dataset.n)) for i, col in enumerate(columns) if col is None}
+    if indices and not fresh:
+        return tuple(columns)
+    for r in range(num_jitters if fresh else 1):
+        rows = jitter(dataset, spec, seed, r).rows
+        for i, col in fresh.items():
+            col[r] = rows[:, indices[i]]
+        del rows  # the next replicate is drawn with none alive
+    for i, col in fresh.items():
+        col.setflags(write=False)  # so the model keeps these arrays, not copies
+        columns[i] = draws[keys[i]] = col
+    return tuple(columns)
+
+
 def _jittered_fit(
     dataset: MixedDataset, spec: NoiseSpec, kernel: Kernel, num_jitters: int, seed: int,
-    bandwidth, response_index: int | None = None,
+    bandwidth, response_index: int | None = None, jitter_response: bool = False,
 ) -> dict:
     """The fit steps both estimators share, returned as the base model's fields.
 
-    Draws ``num_jitters`` jitter replicates one at a time, keeping only
-    their jittered columns, and standardizes replicate 0's smoothed
-    columns (every column but ``response_index``) before dropping it.
+    Takes the held columns of ``num_jitters`` jitter replicates from
+    :func:`_jittered_columns` and standardizes replicate 0's smoothed
+    columns (every column but ``response_index``), rebuilt from the
+    origin and row 0 of each held column.
     """
     if num_jitters < 1:
         raise InvalidParameterError(f"num_jitters must be >= 1, got {num_jitters}")
@@ -364,23 +440,18 @@ def _jittered_fit(
     if categorical:
         raise SchemaError(f"categorical columns {categorical} must be dummy-coded before fitting")
     smoothed = [j for j in range(len(dataset.schema)) if j != response_index]
-    indices = dataset.indices_of_kind("discrete_ordered")
-    jittered = tuple(np.empty((num_jitters, dataset.n)) for _ in indices)
-    for r in range(num_jitters):
-        rows = jitter(dataset, spec, seed, r).rows
-        for j, col in zip(indices, jittered):
-            col[r] = rows[:, j]
-        if r == 0:
-            # numpy sums each column in an order set by the array's layout,
-            # and so the transform's last bits: a KDE standardizes a C-order
-            # copy of the replicate, a local linear fit the F-order copy that
-            # selecting its covariates makes
-            rows = np.ascontiguousarray(rows) if response_index is None else rows[:, smoothed]
-            transform, bandwidths = _standardize(
-                rows, tuple(dataset.schema[j].name for j in smoothed), bandwidth)
-        del rows  # the next replicate is drawn with none alive
-    for col in jittered:
-        col.setflags(write=False)  # so the model keeps these arrays, not copies
+    indices = _held_indices(dataset, response_index, jitter_response)
+    jittered = _jittered_columns(dataset, spec, seed, num_jitters, indices)
+    # numpy sums each column in an order set by the array's layout, and so
+    # the transform's last bits: replicate 0 is rebuilt in the F order that
+    # jitter returns, and a KDE standardizes a C-order copy of it, a local
+    # linear fit the F-order copy that selecting its covariates makes
+    rows = np.array(dataset.rows, order="F")
+    for j, col in zip(indices, jittered):
+        rows[:, j] = col[0]
+    rows = np.ascontiguousarray(rows) if response_index is None else rows[:, smoothed]
+    transform, bandwidths = _standardize(
+        rows, tuple(dataset.schema[j].name for j in smoothed), bandwidth)
     return dict(kernel=kernel, noise=spec, seed=int(seed), bandwidths=bandwidths,
                 transform=transform, origin=dataset, num_jitters=num_jitters,
                 jittered=jittered)
@@ -479,14 +550,18 @@ class LocLinModel(_JitteredModel):
 
     smoothed_indices = covariate_indices
 
+    @property
+    def jittered_indices(self) -> tuple[int, ...]:
+        """Every ``discrete_ordered`` column, but the response only when it
+        is jittered."""
+        return _held_indices(self.origin, self.response_index, self.jitter_response)
+
     def response_values(self, r: int) -> np.ndarray:
         """The response the fit regresses on in replicate ``r``: the
-        replicate's own column, unless that column is jittered and the
-        response is not."""
+        replicate's own column when the model holds it jittered, else the
+        origin's."""
         column = self.columns[self.response_index]
-        if column.ndim == 1:
-            return column
-        return column[r] if self.jitter_response else self.origin.rows[:, self.response_index]
+        return column[r] if column.ndim == 2 else column
 
 
 def fit_loclin(
@@ -515,11 +590,13 @@ def fit_loclin(
         raise InsufficientDataError(
             f"local linear fit needs n >= d + 2 = {d + 2} rows, got {dataset.n}"
         )
-    discrete_response = dataset.schema[response_index].kind == "discrete_ordered"
+    jitter_response = bool(jitter_response
+                           and dataset.schema[response_index].kind == "discrete_ordered")
     return LocLinModel(
         response_index=int(response_index),
-        jitter_response=bool(jitter_response and discrete_response),
-        **_jittered_fit(dataset, spec, kernel, num_jitters, seed, bandwidth, response_index),
+        jitter_response=jitter_response,
+        **_jittered_fit(dataset, spec, kernel, num_jitters, seed, bandwidth, response_index,
+                        jitter_response),
     )
 
 

@@ -202,6 +202,21 @@ class TestFitEvalCommands:
         assert hashlib.sha256(model.read_bytes()).hexdigest() == (
             "30f1d7f7feb2f0bd4ba11b73a8d395b54041853f359e1ff3017dbdcaa7fb96ea")
 
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "eaba578e79fcd2fd7ac19a9934abc87c8c14035e9799483926824354793289cd"),
+        (["--jitter-response"],
+         "f3f1f859d8732dd4ff4714667a2033c9510d4f2bb941c8ac77054eaf1863c18c"),
+    ])
+    def test_loclin_discrete_response_bytes_pinned(self, data_csv, tmp_path, flags, digest):
+        # bytes recorded from an earlier build, whose model held the
+        # response's replicates either way: a model that views the origin's
+        # unjittered response still digests the jittered replicates
+        model = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(data_csv), "--output", str(model), *SCHEMA_FLAGS,
+                     "--seed", "5", "--jitters", "2", "--estimator", "loclin",
+                     "--response", "z", *flags]) == 0
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
+
     def test_loclin_fit_eval(self, data_csv, tmp_path, capsys):
         model = tmp_path / "m.bin"
         assert main(["fit", "--input", str(data_csv), "--output", str(model),

@@ -1,10 +1,14 @@
 """Jittered KDE and local linear regression."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +32,9 @@ from jitterkit import (
     SchemaError,
     Standardization,
     SyntheticMixedModel,
+    cond_cdf,
     cond_mean,
+    cond_quantile,
     fit_kde,
     fit_loclin,
     get_kernel,
@@ -365,6 +371,23 @@ class TestFitLoclin:
         vals = model.response_values(0)
         assert not np.array_equal(vals, full.rows[:, 0])
 
+    def test_unjittered_response_held_as_origin_view(self):
+        # no evaluation reads an unjittered response's replicates, so the
+        # model views the origin's column; its replicates and digests draw
+        # that column again, and match a model that holds it
+        ds = _interleaved_dataset("dcd", 50, seed=12)
+        spec = NoiseSpec(0.8, 5, dims=2)
+        model = fit_loclin(ds, 0, spec, num_jitters=3, seed=13)
+        assert model.jittered_indices == (2,)
+        assert [col.shape for col in model.columns] == [(50,), (50,), (3, 50)]
+        assert np.shares_memory(model.columns[0], ds.rows)
+        assert_array_equal(model.response_values(1), ds.rows[:, 0])
+        for rep, want in zip(model.replicates, jitter_replicates(model), strict=True):
+            assert_array_equal(rep.rows, want.rows)
+        held = fit_loclin(ds, 0, spec, num_jitters=3, seed=13, jitter_response=True)
+        assert held.columns[0].shape == (3, 50)
+        assert estimators._digests(model) == estimators._digests(held)
+
     def test_no_covariates_rejected(self):
         ds = MixedDataset((ColumnSchema("y", "continuous"),), np.arange(5.0)[:, None])
         with pytest.raises(SchemaError):
@@ -526,6 +549,186 @@ class TestFitMemory:
         assert model.origin is ds
         replicate = 2 * n * 8
         assert peak < held + replicate + noise_scratch + n  # n bytes of small objects
+
+
+def _point_eval_fits(ds, spec, num_jitters, seed):
+    """The point-eval benchmark's fits of one (z, x) dataset: Gaussian and
+    Epanechnikov KDEs and a local linear model of x on z."""
+    kw = dict(num_jitters=num_jitters, seed=seed)
+    return [fit_kde(ds, spec, get_kernel("gaussian"), **kw),
+            fit_kde(ds, spec, get_kernel("epanechnikov"), **kw),
+            fit_loclin(ds, 1, spec, **kw)]
+
+
+# fits of a "dcdc" dataset: KDEs of both kernels, and local linear models of
+# a continuous response, of a jittered discrete one and of an unjittered one
+_DCDC_FITS = {
+    "kde_gaussian": lambda ds, spec, **kw: fit_kde(ds, spec, get_kernel("gaussian"), **kw),
+    "kde_epanechnikov": lambda ds, spec, **kw: fit_kde(ds, spec, get_kernel("epanechnikov"),
+                                                       **kw),
+    "loclin_c3": lambda ds, spec, **kw: fit_loclin(ds, 3, spec, **kw),
+    "loclin_d0_jittered": lambda ds, spec, **kw: fit_loclin(ds, 0, spec, jitter_response=True,
+                                                            **kw),
+    "loclin_d2": lambda ds, spec, **kw: fit_loclin(ds, 2, spec, **kw),
+}
+
+
+def _model_outputs(model, tmp_path):
+    """Every value a model gives on a fixed battery, and its artifact bytes."""
+    rows = model.origin.rows
+    points = [rows[0], rows[7] + 0.3, rows.mean(axis=0)]
+    if isinstance(model, LocLinModel):
+        values = [loclin_eval(model, np.delete(p, model.response_index)) for p in points]
+    else:
+        Q = FunctionalQuery
+        values = [kde_eval(model, p) for p in points] + [
+            (e.value, e.denominator_mass) for e in (
+                cond_mean(model, Q("mean", 0, "discrete", {1: 0.5})),
+                cond_mean(model, Q("mean", 3, "continuous", {0: 1.0, 2: 2.0})),
+                cond_cdf(model, Q("cdf", 2, "discrete", {3: 0.4}, threshold=1)),
+                cond_cdf(model, Q("cdf", 1, "continuous", {2: 1.0}, threshold=0.3)),
+                cond_quantile(model, Q("quantile", 0, "discrete", {1: 0.2}, alpha=0.6)),
+                cond_quantile(model, Q("quantile", 3, "continuous", {}, alpha=0.3)))]
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    return values, path.read_bytes()
+
+
+def _assert_same_fit(got, want):
+    assert type(got) is type(want)
+    for a, b in zip(got.columns, want.columns, strict=True):
+        assert_array_equal(a, b)
+    assert_array_equal(got.transform.means, want.transform.means)
+    assert_array_equal(got.transform.scales, want.transform.scales)
+    assert_array_equal(got.bandwidths, want.bandwidths)
+
+
+class TestSharedDraws:
+    """Fits of one dataset object with one noise, seed and R take their
+    jittered columns from one weak memo: they hold the same arrays, every
+    output equals a cold fit's, and the memo keeps nothing alive."""
+
+    def test_fits_of_one_dataset_hold_the_same_arrays(self):
+        ds = _interleaved_dataset("dcdc", 80, seed=40)
+        spec = NoiseSpec(0.8, 5, dims=2)
+        models = [fit(ds, spec, num_jitters=3, seed=41) for fit in _DCDC_FITS.values()]
+        for j in (0, 2):
+            held = [m.columns[j] for m in models if m.columns[j].ndim == 2]
+            assert all(col is held[0] for col in held)
+        # only the local linear model of the unjittered response d2 views it
+        assert [len(held) for held in ([m for m in models if m.columns[0].ndim == 2],
+                                       [m for m in models if m.columns[2].ndim == 2])] == [5, 4]
+
+    def test_nothing_shared_across_keys(self):
+        ds = _interleaved_dataset("dc", 80, seed=42)
+        base = fit_kde(ds, SPEC, num_jitters=2, seed=43)
+        copy = MixedDataset(ds.schema, ds.rows)
+        others = {"dataset": fit_kde(copy, SPEC, num_jitters=2, seed=43),
+                  "noise": fit_kde(ds, NoiseSpec(0.7, 5, dims=1), num_jitters=2, seed=43),
+                  "seed": fit_kde(ds, SPEC, num_jitters=2, seed=44),
+                  "num_jitters": fit_kde(ds, SPEC, num_jitters=3, seed=43)}
+        for key, model in others.items():
+            assert model.columns[0] is not base.columns[0], key
+        assert_array_equal(others["dataset"].columns[0], base.columns[0])
+        assert_array_equal(others["num_jitters"].columns[0][:2], base.columns[0])
+        assert not np.array_equal(others["seed"].columns[0], base.columns[0])
+
+    def test_equal_keys_hit_where_draws_are_equal(self, tmp_path):
+        ds = _interleaved_dataset("dcdc", 80, seed=44)
+        base = fit_kde(ds, NoiseSpec(0.8, 5, dims=2), num_jitters=2, seed=3)
+        for spec, seed in [(NoiseSpec(0.8, 5.0, dims=2), np.int64(3)),
+                           (NoiseSpec(0.8, 5, dims=2.0), 3.0)]:
+            hit = fit_kde(ds, spec, num_jitters=2, seed=seed)
+            assert all(a is b for a, b in zip(hit.jittered, base.jittered, strict=True))
+            cold = fit_kde(MixedDataset(ds.schema, ds.rows), spec, num_jitters=2, seed=seed)
+            _assert_same_fit(hit, cold)
+            assert _model_outputs(hit, tmp_path) == _model_outputs(cold, tmp_path)
+        # a seed no noise stream takes is refused, as by a cold fit
+        with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+            fit_kde(ds, NoiseSpec(0.8, 5, dims=2), num_jitters=2, seed=3.5)
+
+    @pytest.mark.parametrize("first", list(_DCDC_FITS))
+    def test_hit_models_equal_cold_fits(self, first, tmp_path):
+        ds = _interleaved_dataset("dcdc", 120, seed=45)
+        spec = NoiseSpec(0.8, 5, dims=2)
+        warm = {first: _DCDC_FITS[first](ds, spec, num_jitters=3, seed=46)}
+        for name, fit in _DCDC_FITS.items():
+            warm.setdefault(name, fit(ds, spec, num_jitters=3, seed=46))
+        for name, model in warm.items():
+            # a hit on every column that the first fit holds too
+            for j in set(model.jittered_indices) & set(warm[first].jittered_indices):
+                assert model.columns[j] is warm[first].columns[j]
+            cold = _DCDC_FITS[name](MixedDataset(ds.schema, ds.rows), spec, num_jitters=3,
+                                    seed=46)
+            _assert_same_fit(model, cold)
+            assert _model_outputs(model, tmp_path) == _model_outputs(cold, tmp_path)
+
+    def test_memo_keeps_nothing_alive(self):
+        ds = _interleaved_dataset("dcdc", 80, seed=47)
+        spec = NoiseSpec(0.8, 5, dims=2)
+        gc.collect()  # so that earlier tests' dead datasets have left the memo
+        entries = len(estimators._DRAWS)
+        models = [fit(ds, spec, num_jitters=2, seed=48) for fit in _DCDC_FITS.values()]
+        arrays = [weakref.ref(col) for model in models for col in model.jittered]
+        assert len(estimators._DRAWS) == entries + 1
+        del models
+        gc.collect()
+        assert not any(ref() is not None for ref in arrays)
+        assert len(estimators._DRAWS[ds]) == 0
+        dataset = weakref.ref(ds)
+        del ds
+        gc.collect()
+        assert dataset() is None and len(estimators._DRAWS) == entries
+
+    def test_concurrent_fits_equal_cold_fits(self):
+        # fits that miss at once each draw, and the memo keeps the later
+        # arrays: every model still equals a cold fit; more threads than
+        # cores, and a short switch interval, to interleave the misses
+        spec = NoiseSpec(0.8, 5, dims=2)
+        names = list(_DCDC_FITS)[:4]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(4):
+                ds = _interleaved_dataset("dcdc", 3000, seed=50 + round_)
+                barrier = threading.Barrier(len(names))
+                models = {}
+
+                def work(name):
+                    barrier.wait(timeout=30)
+                    models[name] = _DCDC_FITS[name](ds, spec, num_jitters=3, seed=49)
+
+                threads = [threading.Thread(target=work, args=(name,)) for name in names]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(models) == sorted(names)
+                for name, model in models.items():
+                    cold = _DCDC_FITS[name](MixedDataset(ds.schema, ds.rows), spec,
+                                            num_jitters=3, seed=49)
+                    _assert_same_fit(model, cold)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_point_eval_fits_hold_one_set_of_draws(self):
+        # the three fits hold one (R, n) array of jittered z between them,
+        # where each held its own: three times as much
+        n, num_jitters = 20_000, 5
+        ds = _mixed_dataset(1, n, seed=34)
+        ds = MixedDataset(ds.schema[:2], ds.rows[:, :2])
+        spec = NoiseSpec(0.8, 5, dims=1)
+        _point_eval_fits(ds, spec, 1, 35)  # first-call allocations
+        tracemalloc.start()
+        try:
+            models = _point_eval_fits(ds, spec, num_jitters, 36)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_set = num_jitters * n * 8
+        assert sum(col.nbytes for col in models[0].jittered) == one_set
+        assert held < one_set + n  # n bytes of transforms, bandwidths and memo entries
 
 
 def _accumulator_weights(kernel, rows, columns, point, h):
