@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
     SchemaError,
 )
-from .noise import NoiseSpec, sample_noise
+from .noise import NoiseSpec, noise_stream, sample_noise
 
 COLUMN_KINDS = ("discrete_ordered", "continuous", "categorical")
 
@@ -168,6 +168,24 @@ class JitteredDataset:
         return self.rows.shape[0]
 
 
+def _discrete_indices(dataset: MixedDataset, spec: NoiseSpec) -> tuple[int, ...]:
+    """The columns :func:`jitter` shifts: every discrete_ordered one, of
+    which there must be ``spec.dims``."""
+    disc = dataset.indices_of_kind("discrete_ordered")
+    if len(disc) != spec.dims:
+        raise SchemaError(
+            f"spec.dims = {spec.dims} but dataset has {len(disc)} discrete_ordered columns"
+        )
+    return disc
+
+
+def check_jitter(dataset: MixedDataset, spec: NoiseSpec, seed: int) -> None:
+    """Raise what ``jitter(dataset, spec, seed)`` raises, drawing nothing."""
+    if _discrete_indices(dataset, spec):
+        noise_stream(seed)  # the check of the seed that sample_noise makes
+    int(seed)  # what the replicate stores
+
+
 def jitter(
     dataset: MixedDataset,
     spec: NoiseSpec,
@@ -180,11 +198,7 @@ def jitter(
     noise comes from the stream keyed by ``(seed, replicate_index)``, so
     the result is deterministic and replicates are mutually independent.
     """
-    disc = dataset.indices_of_kind("discrete_ordered")
-    if len(disc) != spec.dims:
-        raise SchemaError(
-            f"spec.dims = {spec.dims} but dataset has {len(disc)} discrete_ordered columns"
-        )
+    disc = _discrete_indices(dataset, spec)
     rows = np.array(dataset.rows, dtype=float, order="F")
     if disc:
         eps = sample_noise(spec, seed, dataset.n, replicate_index)

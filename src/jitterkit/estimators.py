@@ -28,7 +28,10 @@ an estimator, so every fit on one ``MixedDataset`` object takes its
 (R, n) arrays from one memo, ``_DRAWS``, keyed on the dataset and on
 (noise, seed, R, column), and draws only what the memo lacks. Three fits
 of one dataset with one noise, seed and R hold the same arrays. The memo
-holds datasets and arrays weakly, so it keeps nothing alive that no
+also holds, per dataset and column, the stable ``argsort`` of an
+unjittered column that a compact-kernel model orders its rows by (see
+below), computed at fit time and shared by every model of the dataset.
+It holds datasets and arrays weakly, so it keeps nothing alive that no
 model holds.
 
 Every kernel sum (``kde_eval``, ``loclin_eval`` and a KDE's conditional
@@ -41,6 +44,18 @@ factor of an unjittered column is the same in every replicate: it is
 computed once per chunk and combined with each replicate's jittered
 factors in column order, which keeps every weight bit-identical to one
 built from that replicate alone.
+
+The Epanechnikov kernel vanishes outside one bandwidth, so a row whose
+unjittered column lies farther than ``h`` from the point weighs exactly
+0 in every replicate. An Epanechnikov model orders the rows by its first
+unjittered smoothed column, and a sum that evaluates that column walks
+only its window: the rows within ``h`` of the point there, found by
+binary search and walked in that order, in chunks of ``_CHUNK_ROWS``.
+It is the far-point pruning of tree-based kernel sums on one sorted
+axis. The weights stay bit-identical; only ``kde_eval`` and
+``loclin_eval`` add them in another order, so their values move by
+rounding alone. A Gaussian model, and a sum that does not evaluate the
+ordered column, walk every row.
 
 A Gaussian weight whose exponent ``-0.5 * sum u_j^2`` is below -700 is
 an exact 0.0 (see ``_exp``). Rows more than about 37 bandwidths from the
@@ -58,6 +73,7 @@ refits.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -74,6 +90,7 @@ from .data import (
     JitteredDataset,
     MixedDataset,
     Standardization,
+    check_jitter,
     jitter,
     read_only,
 )
@@ -173,13 +190,41 @@ def _kernel_factor(kernel: Kernel, column: np.ndarray, p: float, hj: float,
         np.maximum(out, 0.0, out=out)
 
 
+def _window_rows(model: _JitteredModel, columns, point, h):
+    """The rows of a compact-kernel sum's window, as consecutive pieces of
+    at most ``_CHUNK_ROWS`` row indices of the model's order; None when the
+    sum walks every row.
+
+    A window needs the model's ordered column (see :class:`_JitteredModel`)
+    among ``columns``. It holds the rows whose value there lies in
+    ``[p - h, p + h]``, found by binary search over the order. A row
+    outside it has ``|u| >= 1`` in that column, and so a weight of exactly
+    0. The reach is widened by a few ulps, so that rounding ``p +- h``
+    drops no row of nonzero weight.
+    """
+    if model.order is None or model.order[0] not in columns:
+        return None
+    c, order = model.order
+    j = list(columns).index(c)
+    reach = h[j] * (1.0 + 4.0 * sys.float_info.epsilon)
+    value = model.columns[c].__getitem__
+    lo = bisect.bisect_left(order, point[j] - reach, key=value)
+    hi = bisect.bisect_right(order, point[j] + reach, lo=lo, key=value)
+    return (order[start:min(start + _CHUNK_ROWS, hi)] for start in range(lo, hi, _CHUNK_ROWS))
+
+
 def product_weights(model: _JitteredModel, columns, point, h):
-    """Yield ``(r, rows, dx, w)`` for each chunk of ``_CHUNK_ROWS`` rows
-    and, within it, each replicate ``r`` in turn: the chunk's ``rows``
-    slice, the offsets ``dx[j] = column_j[rows] - point[j]`` of each of
+    """Yield ``(r, rows, dx, w)`` for each chunk of at most ``_CHUNK_ROWS``
+    rows and, within it, each replicate ``r`` in turn: the chunk's
+    ``rows``, the offsets ``dx[j] = column_j[rows] - point[j]`` of each of
     ``columns`` in replicate ``r`` as one (k, m) array, and the
     product-kernel weights ``w = prod_j K(dx[j] / h[j])``, all 1 when
     ``columns`` is empty.
+
+    The chunks are consecutive slices of every row, except for a compact
+    kernel whose model orders a column among ``columns``: then they are
+    index arrays that cover only the window of :func:`_window_rows`, and
+    every row they leave out has a weight of exactly 0.
 
     A column that :func:`~jitterkit.data.jitter` leaves untouched is held
     once, as an n-vector, so its offsets and factor are computed once per
@@ -194,12 +239,15 @@ def product_weights(model: _JitteredModel, columns, point, h):
     k, n = len(columns), model.origin.n
     fresh = [data[c].ndim == 2 for c in columns]  # jittered: one row per replicate
     combine = np.add if kernel.name == "gaussian" else np.multiply
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        m = min(n - start, _CHUNK_ROWS)
-        # a ragged last chunk gets buffers of its own size, so that dx stays
+    chunks = _window_rows(model, columns, point, h)
+    if chunks is None:
+        chunks = (slice(start, min(start + _CHUNK_ROWS, n)) for start in range(0, n, _CHUNK_ROWS))
+    w = np.empty(0)
+    for rows in chunks:
+        m = rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+        # a chunk of another size gets buffers of its own, so that dx stays
         # one contiguous (k, m) array
-        if start == 0 or m < _CHUNK_ROWS:
+        if m != len(w):
             dx, factors, w = np.empty((k, m)), np.empty((k, m)), np.empty(m)
         for j, c in enumerate(columns):
             if not fresh[j]:
@@ -266,6 +314,12 @@ class _JitteredModel:
     ``bandwidths`` are on the standardized scale, one finite positive
     value per smoothed column. Models are immutable and safe for
     concurrent evaluation.
+
+    A compact-kernel model also holds ``order``: its first unjittered
+    smoothed column ``c`` and the stable ``argsort`` of that column, as
+    ``(c, argsort)``, from the same memo, for :func:`product_weights` to
+    find the rows within one bandwidth by binary search. It is None for a
+    Gaussian model and for one whose smoothed columns are all jittered.
     """
 
     kernel: Kernel
@@ -277,6 +331,7 @@ class _JitteredModel:
     num_jitters: int
     jittered: tuple[np.ndarray, ...] = field(repr=False)
     columns: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    order: tuple[int, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.num_jitters < 1:
@@ -293,6 +348,10 @@ class _JitteredModel:
                                   f"expected {(self.num_jitters, self.origin.n)}")
         object.__setattr__(self, "jittered", tuple(columns[j] for j in indices))
         object.__setattr__(self, "columns", tuple(columns))
+        ordered = [j for j in self.smoothed_indices if columns[j].ndim == 1]
+        compact = self.kernel.name != "gaussian"
+        object.__setattr__(self, "order", (ordered[0], _column_order(self.origin, ordered[0]))
+                           if compact and ordered else None)
         d = len(self.smoothed_indices)
         if len(self.transform.scales) != d:
             raise InvalidParameterError(
@@ -384,9 +443,23 @@ def _held_indices(origin: MixedDataset, response_index: int | None = None,
 
 
 # The jittered (R, n) arrays of every fit, per dataset and then per
-# (noise, seed, R, column). Weak both ways: an entry lives only as long as
-# its dataset, and an array only as long as some model holds it.
+# (noise, seed, R, column), and the orders of its unjittered columns, per
+# ("order", column). Weak both ways: an entry lives only as long as its
+# dataset, and an array only as long as some model holds it.
 _DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _column_order(dataset: MixedDataset, j: int) -> np.ndarray:
+    """The stable ``argsort`` of ``dataset``'s column ``j``, read-only: the
+    memo's where it holds it, else computed, and then held. A race
+    computes it twice, with equal results."""
+    draws = _DRAWS.setdefault(dataset, weakref.WeakValueDictionary())
+    order = draws.get(("order", j))
+    if order is None:
+        order = np.argsort(dataset.rows[:, j], kind="stable")
+        order.setflags(write=False)
+        draws[("order", j)] = order
+    return order
 
 
 def _jittered_columns(dataset: MixedDataset, spec: NoiseSpec, seed: int, num_jitters: int,
@@ -396,7 +469,7 @@ def _jittered_columns(dataset: MixedDataset, spec: NoiseSpec, seed: int, num_jit
     then holds.
 
     A miss draws the replicates one at a time and keeps only the missing
-    columns; with no column asked for it draws replicate 0 alone, for
+    columns; with no column asked for it draws nothing, but makes
     :func:`~jitterkit.data.jitter`'s checks of the noise and seed. Two fits
     that miss at once each draw, and the memo keeps the later arrays,
     bit-identical to the earlier: a race repeats a draw and changes no
@@ -410,9 +483,11 @@ def _jittered_columns(dataset: MixedDataset, spec: NoiseSpec, seed: int, num_jit
         keys = [None] * len(indices)  # an invalid seed, which jitter refuses below
     columns = [draws.get(key) for key in keys]
     fresh = {i: np.empty((num_jitters, dataset.n)) for i, col in enumerate(columns) if col is None}
-    if indices and not fresh:
+    if not indices:
+        check_jitter(dataset, spec, seed)
+    if not fresh:
         return tuple(columns)
-    for r in range(num_jitters if fresh else 1):
+    for r in range(num_jitters):
         rows = jitter(dataset, spec, seed, r).rows
         for i, col in fresh.items():
             col[r] = rows[:, indices[i]]

@@ -171,7 +171,8 @@ def _covariate_weights(
     cov_vals = np.array([float(covariate_point[j]) for j in cov_idx])
     cov_h = model.effective_bandwidths[cov_idx]
     stacked = any(model.columns[j].ndim == 2 for j in cov_idx)  # a jittered covariate
-    w = np.empty((model.num_jitters if stacked else 1, model.origin.n))
+    # zeros, since a compact kernel's chunks skip rows of weight 0
+    w = np.zeros((model.num_jitters if stacked else 1, model.origin.n))
     for r, rows, _, chunk in product_weights(model, cov_idx, cov_vals, cov_h):
         if r < len(w):
             w[r, rows] = chunk

@@ -54,6 +54,50 @@ def jitter_replicates(model) -> list:
     return _REPLICATES[model]
 
 
+# The summation-order bound. A kernel sum that adds the same terms in
+# another order or grouping (a compact kernel's window walks its rows in
+# the order of one column, the full walk in row order) moves by rounding
+# alone:
+# - a density, a sum of nonnegative terms, by at most SUMMATION_RTOL of
+#   its magnitude;
+# - a local linear value, the solve of such sums, by at most SUMMATION_RTOL
+#   times the condition number of its local design, of the larger of its
+#   magnitude and the response's. A design singular to working precision
+#   keeps no digits, in either order.
+# An exact 0.0 and a raised error stay exactly that.
+SUMMATION_RTOL = 1e-12
+
+
+def assert_summation_close(got, want, conditions=None, scale=0.0):
+    """``got`` and ``want``, two lists of values or error names (see
+    ``_outcome`` in the tests), agree within the summation-order bound,
+    ``conditions`` holding each local linear value's condition number and
+    ``scale`` the magnitude of its response."""
+    assert len(got) == len(want)
+    for a, b, cond in zip(got, want, conditions or [1.0] * len(got), strict=True):
+        if isinstance(a, str) or isinstance(b, str) or 0.0 in (a, b):
+            assert a == b
+        else:
+            bound = SUMMATION_RTOL * cond * max(abs(a), abs(b), scale)
+            assert abs(a - b) <= bound, (a, b, cond)
+
+
+def assert_sums_match_full_walk(model, points, got, want):
+    """``got``, the ``kde_eval`` or ``loclin_eval`` outcomes of ``model`` at
+    ``points``, match ``want``, the full walk's: exactly, unless a compact
+    kernel's window walks the rows in another order, and then within the
+    summation-order bound."""
+    if model.order is None:
+        assert got == want
+    elif hasattr(model, "response_index"):
+        conditions = [max(np.linalg.cond(m) for m, _ in reference_normal_equations(model, p))
+                      for p in points]
+        y = model.origin.rows[:, model.response_index]
+        assert_summation_close(got, want, conditions, float(np.abs(y).max()))
+    else:
+        assert_summation_close(got, want)
+
+
 def reference_product_weights(kernel, rows, columns, point, h) -> np.ndarray:
     """Product-kernel weights of ``rows`` alone, the per-replicate way:
     one column at a time in column order, the first column's factor as the
@@ -100,19 +144,17 @@ def reference_kde_eval(model, point, weights=reference_product_weights,
     return float(np.mean(vals))
 
 
-def reference_loclin_eval(model, x0, weights=reference_product_weights,
-                          chunk_rows=32_768) -> float:
-    """``loclin_eval`` replicate by replicate: per chunk of ``chunk_rows``
-    rows, the weighted normal equations of the local linear fit, summed in
-    chunk order, then the replicate's solve. The response is the origin's
-    column unless the model jitters it."""
-    from jitterkit import NoLocalDataError, estimators
-
+def reference_normal_equations(model, x0, weights=reference_product_weights,
+                               chunk_rows=32_768) -> list:
+    """Per replicate, the weighted normal equations ``(m, rhs)`` of
+    ``loclin_eval``'s local linear fit at ``x0``: per chunk of
+    ``chunk_rows`` rows, summed in chunk order. The response is the
+    origin's column unless the model jitters it."""
     cov = model.covariate_indices
     x0 = np.asarray(x0, dtype=float)
     h = model.bandwidths * model.transform.scales
-    estimates = []
-    for r, rep in enumerate(jitter_replicates(model)):
+    equations = []
+    for rep in jitter_replicates(model):
         y = (rep if model.jitter_response else model.origin).rows[:, model.response_index]
         m = np.zeros((len(cov) + 1, len(cov) + 1))
         rhs = np.zeros(len(cov) + 1)
@@ -130,6 +172,18 @@ def reference_loclin_eval(model, x0, weights=reference_product_weights,
             wy = w * ys
             m += cm
             rhs += np.concatenate(([wy.sum()], dx @ wy))
+        equations.append((m, rhs))
+    return equations
+
+
+def reference_loclin_eval(model, x0, weights=reference_product_weights,
+                          chunk_rows=32_768) -> float:
+    """``loclin_eval`` replicate by replicate: each replicate's solve of
+    :func:`reference_normal_equations`."""
+    from jitterkit import NoLocalDataError, estimators
+
+    estimates = []
+    for r, (m, rhs) in enumerate(reference_normal_equations(model, x0, weights, chunk_rows)):
         if not m[0, 0] > 1e-12:
             raise NoLocalDataError(f"total kernel weight {m[0, 0]} (replicate {r})")
         estimates.append(estimators._weighted_local_fit(m, rhs))

@@ -50,6 +50,7 @@ from jitterkit import (
 
 from jitterkit import JitterkitError, estimators
 from conftest import (
+    assert_sums_match_full_walk,
     discrete_dataset,
     jitter_replicates,
     reference_covariate_weights,
@@ -712,9 +713,50 @@ class TestSharedDraws:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_compact_models_share_one_order(self):
+        ds = _interleaved_dataset("dcdc", 80, seed=52)
+        spec = NoiseSpec(0.8, 5, dims=2)
+        models = {name: fit(ds, spec, num_jitters=2, seed=53) for name, fit in _DCDC_FITS.items()}
+        epanechnikov = fit_loclin(ds, 3, spec, kernel=get_kernel("epanechnikov"), num_jitters=3,
+                                  seed=54)
+        order = models["kde_epanechnikov"].order
+        assert order[0] == 1 and epanechnikov.order[0] == 1
+        assert epanechnikov.order[1] is order[1]
+        assert_array_equal(order[1], np.argsort(ds.rows[:, 1], kind="stable"))
+        assert not order[1].flags.writeable
+        assert all(model.order is None for name, model in models.items()
+                   if name != "kde_epanechnikov")
+
+    def test_unjittered_response_load_draws_each_replicate_once(self, tmp_path, monkeypatch):
+        # a local linear model of z on x holds no jittered column; its fit
+        # draws nothing, and its load draws each replicate once, for the
+        # digests
+        ds = _interleaved_dataset("dc", 60, seed=55)
+        model = fit_loclin(ds, 0, SPEC, num_jitters=5, seed=56)
+        assert model.jittered == ()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        draws = []
+        draw = estimators.jitter
+        monkeypatch.setattr(estimators, "jitter",
+                            lambda dataset, spec, seed, r=0: draws.append(r)
+                            or draw(dataset, spec, seed, r))
+        fit_loclin(ds, 0, SPEC, num_jitters=5, seed=56)
+        assert draws == []
+        loaded = load_model(path)
+        assert draws == [0, 1, 2, 3, 4]
+        assert loclin_eval(loaded, [0.5]) == loclin_eval(model, [0.5])
+        # the fit still refuses what jitter refuses
+        with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+            fit_loclin(ds, 0, SPEC, seed=-1)
+        with pytest.raises(SchemaError, match="spec.dims"):
+            fit_loclin(ds, 0, NO_DISCRETE, seed=1)
+        assert draws == [0, 1, 2, 3, 4]
+
     def test_point_eval_fits_hold_one_set_of_draws(self):
         # the three fits hold one (R, n) array of jittered z between them,
-        # where each held its own: three times as much
+        # where each held its own: three times as much, and the
+        # Epanechnikov KDE the order of x that its windows search
         n, num_jitters = 20_000, 5
         ds = _mixed_dataset(1, n, seed=34)
         ds = MixedDataset(ds.schema[:2], ds.rows[:, :2])
@@ -728,7 +770,9 @@ class TestSharedDraws:
             tracemalloc.stop()
         one_set = num_jitters * n * 8
         assert sum(col.nbytes for col in models[0].jittered) == one_set
-        assert held < one_set + n  # n bytes of transforms, bandwidths and memo entries
+        order = n * 8  # n intp
+        assert models[1].order[1].nbytes == order
+        assert held < one_set + order + n  # n bytes of transforms, bandwidths and memo entries
 
 
 def _accumulator_weights(kernel, rows, columns, point, h):
@@ -777,8 +821,13 @@ def _replicated_models(kernel_name, rows, num_jitters=2):
 
 
 def _weights_of_rows(model, columns, point, h):
-    """``product_weights`` of a model of one chunk: one array per replicate."""
-    return [w.copy() for _, _, _, w in estimators.product_weights(model, columns, point, h)]
+    """``product_weights`` of a model of one chunk: one array of every
+    row's weight per replicate, a row that a compact kernel's window leaves
+    out weighing 0."""
+    weights = np.zeros((model.num_jitters, model.origin.n))
+    for r, rows, _, w in estimators.product_weights(model, columns, point, h):
+        weights[r, rows] = w
+    return list(weights)
 
 
 class TestExpFloor:
@@ -823,7 +872,7 @@ class TestExpFloor:
         kernel = get_kernel(kernel_name)
         columns, point, h = range(k), np.zeros(k), np.ones(k)
         for model in _replicated_models(kernel_name, np.empty((0, 3))):
-            assert _weights_of_rows(model, columns, point, h) == []
+            assert list(estimators.product_weights(model, columns, point, h)) == []
         for u in (0.0, 0.5, 37.0, 38.0, 60.0):
             row = np.full((1, 3), u)
             want = (_accumulator_weights(kernel, row, columns, point, h)
@@ -866,7 +915,7 @@ class TestExpFloor:
         got = [_outcome(evaluate, model, p) for p in points]
         want = [_outcome(reference, model, p, _accumulator_weights) for p in points]
         assert len(points) >= 150
-        assert got == want
+        assert_sums_match_full_walk(model, points, got, want)
         if estimator != "loclin":
             assert 0.0 in got  # points beyond the data stay exact zeros
         else:
@@ -921,7 +970,7 @@ class TestReplicateWeights:
                 points = _probe_points(model.origin.rows, model.effective_bandwidths)
                 got = [kde_eval(model, p) for p in points]
                 want = [reference_kde_eval(model, p, chunk_rows=chunk_rows) for p in points]
-                assert got == want, (chunk_rows, num_jitters)
+                assert_sums_match_full_walk(model, points, got, want)
                 assert got[-1] == 0.0 and max(got) > 0.0
 
     @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
@@ -941,7 +990,7 @@ class TestReplicateWeights:
                     got = [_outcome(loclin_eval, model, p) for p in points]
                     want = [_outcome(reference_loclin_eval, model, p,
                                      reference_product_weights, chunk_rows) for p in points]
-                    assert got == want, (chunk_rows, num_jitters, response)
+                    assert_sums_match_full_walk(model, points, got, want)
                     assert got[-1] == "NoLocalDataError"
 
     @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
@@ -967,7 +1016,9 @@ class TestReplicateWeights:
     @pytest.mark.parametrize("estimator", ["gaussian", "epanechnikov", "loclin"])
     def test_untouched_factors_once_per_chunk(self, monkeypatch, estimator):
         # n = 50 rows in chunks of 7 is 8 chunks; R = 3 replicates. Each
-        # column's point coordinate names it in the count.
+        # column's point coordinate names it in the count. An Epanechnikov
+        # KDE walks only the rows within one bandwidth of the point in
+        # column 1, in chunks of 7 as well.
         monkeypatch.setattr(estimators, "_CHUNK_ROWS", 7)
         calls = []
         factor = estimators._kernel_factor
@@ -983,7 +1034,13 @@ class TestReplicateWeights:
         else:
             model = _interleaved_fit(fit_kde, kinds, estimator, 3, n=50)
             kde_eval(model, [1.0, 2.0, 3.0, 4.0])
-            per_column = {1.0: 24, 2.0: 8, 3.0: 24, 4.0: 8}
+            chunks = 8
+            if estimator == "epanechnikov":
+                x = model.origin.rows[:, 1]
+                within = np.sum(np.abs(x - 2.0) <= model.effective_bandwidths[1])
+                assert 0 < within < 50
+                chunks = math.ceil(within / 7)
+            per_column = {1.0: 3 * chunks, 2.0: chunks, 3.0: 3 * chunks, 4.0: chunks}
         assert {p: calls.count(p) for p in set(calls)} == per_column
 
     def test_model_columns_are_contiguous_and_read_only(self, tmp_path):
@@ -1088,9 +1145,12 @@ class TestReplicateWeights:
         model = _interleaved_fit(fit_kde, kinds, kernel_name, num_jitters, n=n,
                                  seed=num_jitters)
         assert all(np.shares_memory(model.columns[j], model.origin.rows) for j in (0, 2))
+        # an Epanechnikov model windows every sum that evaluates column 0
+        assert (model.order is not None) == (kernel_name == "epanechnikov")
         points = _probe_points(model.origin.rows, model.effective_bandwidths)
         got = [kde_eval(model, p) for p in points]
-        assert got == [reference_kde_eval(model, p) for p in points]
+        assert_sums_match_full_walk(model, points, got,
+                                    [reference_kde_eval(model, p) for p in points])
         assert got[-1] == 0.0 and max(got) > 0.0
         Q = FunctionalQuery
         queries = [(cond_mean, Q("mean", 0, "continuous", {1: 1.0})),
@@ -1115,7 +1175,8 @@ class TestReplicateWeights:
             points = _probe_points(loclin.origin.rows[:, cov],
                                    loclin.bandwidths * loclin.transform.scales)
             got = [_outcome(loclin_eval, loclin, p) for p in points]
-            assert got == [_outcome(reference_loclin_eval, loclin, p) for p in points]
+            assert_sums_match_full_walk(
+                loclin, points, got, [_outcome(reference_loclin_eval, loclin, p) for p in points])
             assert got[-1] == "NoLocalDataError" and isinstance(got[0], float)
 
     def test_untouched_column_must_match_origin(self):
@@ -1126,6 +1187,118 @@ class TestReplicateWeights:
         rows[4, 1] += 1e-12  # the continuous one may not
         with pytest.raises(SchemaError, match="continuous column 'c1'"):
             JitteredDataset(origin=ds, noise=SPEC, seed=0, replicate_index=0, rows=rows)
+
+
+def _dyadic_window_model(num_jitters):
+    """Hand-built Epanechnikov KDE of a jittered z and an unjittered x, on
+    the 0.25 grid (jitter on the 0.125 grid), with bandwidth 0.5 and an
+    identity transform: a point 0.5 from a row's x is at exactly |u| = 1,
+    and one ulp nearer gives the row a weight of about 2^-51."""
+    rng = np.random.default_rng(num_jitters)
+    rows = np.column_stack([rng.integers(0, 5, 40), rng.integers(-8, 9, 40) * 0.25]).astype(float)
+    origin = MixedDataset((ColumnSchema("z", "discrete_ordered"), ColumnSchema("x", "continuous")),
+                          rows)
+    reps = []
+    for r in range(num_jitters):
+        rep = rows.copy()
+        rep[:, 0] += rng.integers(-3, 4, 40) * 0.125
+        reps.append(JitteredDataset(origin=origin, noise=SPEC, seed=0, replicate_index=r,
+                                    rows=rep))
+    return KdeModel.from_replicates(reps, kernel=get_kernel("epanechnikov"), noise=SPEC, seed=0,
+                                    bandwidths=np.full(2, 0.5),
+                                    transform=Standardization(np.zeros(2), np.ones(2)))
+
+
+def _window_size(model, columns, point, h):
+    """How many rows a compact kernel's window at ``point`` holds, or None
+    for a full walk."""
+    pieces = estimators._window_rows(model, columns, point, h)
+    return None if pieces is None else sum(len(piece) for piece in pieces)
+
+
+class TestCompactWindows:
+    """An Epanechnikov sum walks only the rows within one bandwidth of the
+    point in the model's ordered column: every weight it leaves out is
+    exactly 0, and every value agrees with the full walk within the
+    summation-order bound (``conftest``)."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 3])
+    @pytest.mark.parametrize("num_jitters", [1, 3])
+    def test_window_keeps_every_nonzero_weight(self, monkeypatch, chunk_rows, num_jitters):
+        if chunk_rows is not None:
+            monkeypatch.setattr(estimators, "_CHUNK_ROWS", chunk_rows)
+        model = _dyadic_window_model(num_jitters)
+        assert model.order[0] == 1
+        h = model.effective_bandwidths
+        x = model.origin.rows[:, 1]
+        for i in range(0, 40, 3):
+            z = float(model.origin.rows[i, 0])
+            for edge in (x[i] - 0.5, x[i] + 0.5):
+                # at |u| = 1 exactly, one ulp inside and one ulp outside
+                for px in (edge, np.nextafter(edge, x[i]), np.nextafter(edge, 2 * edge - x[i])):
+                    point = [z, px]
+                    got = _weights_of_rows(model, [0, 1], point, h)
+                    want = [reference_product_weights(model.kernel, rep.rows, [0, 1], point, h)
+                            for rep in model.replicates]
+                    assert_array_equal(got, want)
+                    # every row of nonzero weight, and rows a few ulps beyond
+                    size = _window_size(model, [0, 1], point, h)
+                    assert np.sum(np.abs(x - px) < 0.5) <= size <= np.sum(np.abs(x - px) <= 0.5 + 1e-12)
+        # a point one ulp within reach of the data's last row only
+        px = np.nextafter(x.max() + 0.5, -np.inf)
+        assert 0.0 < kde_eval(model, [float(model.origin.rows[np.argmax(x), 0]), px])
+
+    @pytest.mark.parametrize("chunk_rows", [32_768, 7])
+    @pytest.mark.parametrize("num_jitters", [1, 3])
+    @pytest.mark.parametrize("bandwidth", [None, 40.0])
+    def test_windowed_sums_match_full_walk(self, monkeypatch, chunk_rows, num_jitters,
+                                           bandwidth):
+        # n = 60 rows: one chunk, or 9 chunks of 7; a bandwidth of 40
+        # standardized units puts every row in the window
+        monkeypatch.setattr(estimators, "_CHUNK_ROWS", chunk_rows)
+        kw = dict(num_jitters=num_jitters, seed=num_jitters, bandwidth=bandwidth)
+        kde = _interleaved_fit(fit_kde, "dcc", "epanechnikov", **kw)
+        loclin = _interleaved_fit(fit_loclin, "dcc", "epanechnikov", response_index=2, **kw)
+        for model, cov in ((kde, [0, 1, 2]), (loclin, [0, 1])):
+            assert model.order[0] == 1
+            h = model.bandwidths * model.transform.scales
+            points = _probe_points(model.origin.rows[:, cov], h)
+            sizes = [_window_size(model, cov, p, h) for p in points]
+            assert sizes[-1] == 0
+            # the points on and near the data: a part of the rows, or all
+            assert (sizes[:6] == [60] * 6) if bandwidth else max(sizes) < 60
+            if model is kde:
+                got = [kde_eval(model, p) for p in points]
+                want = [reference_kde_eval(model, p, chunk_rows=chunk_rows) for p in points]
+                assert got[-1] == 0.0 and max(got) > 0.0
+            else:
+                got = [_outcome(loclin_eval, model, p) for p in points]
+                want = [_outcome(reference_loclin_eval, model, p, reference_product_weights,
+                                 chunk_rows) for p in points]
+                assert got[-1] == want[-1] == "NoLocalDataError"
+            assert_sums_match_full_walk(model, points, got, want)
+
+    def test_walk_computes_only_the_window(self, monkeypatch):
+        # at n = 2e5 in point-eval's layout, each point's kernel factors
+        # cover the rows within one bandwidth of its x, once for x and once
+        # per replicate for z: a few percent of the full walk's
+        n, num_jitters = 200_000, 2
+        ds = _mixed_dataset(1, n, seed=60)
+        ds = MixedDataset(ds.schema[:2], ds.rows[:, :2])
+        model = fit_kde(ds, SPEC, kernel=get_kernel("epanechnikov"), num_jitters=num_jitters,
+                        seed=61)
+        sizes = []
+        factor = estimators._kernel_factor
+        monkeypatch.setattr(estimators, "_kernel_factor",
+                            lambda kernel, column, *rest: sizes.append(len(column))
+                            or factor(kernel, column, *rest))
+        x, hx = ds.rows[:, 1], model.effective_bandwidths[1]
+        for z, px in [(0.0, -0.5), (1.0, 0.8), (2.0, 2.5), (4.0, 3.2)]:
+            sizes.clear()
+            kde_eval(model, [z, px])
+            within = int(np.sum(np.abs(x - px) <= hx))
+            assert 0 < within < n // 5
+            assert (num_jitters + 1) * within <= sum(sizes) <= 2 * (num_jitters + 1) * within
 
 
 class TestSerialization:

@@ -43,6 +43,7 @@ from jitterkit import (
 
 from jitterkit import estimators
 from conftest import (
+    assert_sums_match_full_walk,
     discrete_dataset,
     jitter_replicates,
     mixed_dataset,
@@ -916,15 +917,17 @@ class TestModelColumns:
         points = [[1.0, 0.5, 0.0, 1.0, 0.0], [2.0, 2.5, -0.3, 0.0, 1.0],
                   [0.0, -0.5, 0.4, 0.0, 1.0]]
         got = [kde_eval(model, p) for p in points]
-        assert got == [reference_kde_eval(model, p) for p in points]
+        assert_sums_match_full_walk(model, points, got,
+                                    [reference_kde_eval(model, p) for p in points])
         assert min(got) > 0.0
         zx = MixedDataset(ds.schema[:2], ds.rows[:, :2])
         for response, jitter_response in ((1, False), (0, False), (0, True)):
             loclin = fit_loclin(zx, response, NoiseSpec(0.8, 5, dims=1), kernel=kernel,
                                 num_jitters=num_jitters, seed=96,
                                 jitter_response=jitter_response)
-            for x0 in ([0.5], [2.0]):
-                assert loclin_eval(loclin, x0) == reference_loclin_eval(loclin, x0)
+            points = [[0.5], [2.0]]
+            assert_sums_match_full_walk(loclin, points, [loclin_eval(loclin, x0) for x0 in points],
+                                        [reference_loclin_eval(loclin, x0) for x0 in points])
         got = _chunk_battery(model)
         monkeypatch.setattr(regression, "_kde_response_slice", reference_kde_response_slice)
         monkeypatch.setattr(regression, "_covariate_weights", reference_covariate_weights)
