@@ -43,7 +43,16 @@ bounded independently of n and no (n, d) temporary is made. The kernel
 factor of an unjittered column is the same in every replicate: it is
 computed once per chunk and combined with each replicate's jittered
 factors in column order, which keeps every weight bit-identical to one
-built from that replicate alone.
+built from that replicate alone. Each offset is multiplied by the
+reciprocal of its bandwidth, computed once per sum, so no pass divides,
+unless the bandwidth is subnormal and its reciprocal overflows.
+
+The weights leave out the kernel's normalising constant,
+(2 pi)^(-k/2) or 0.75^k (:meth:`Kernel.constant`), and each sum applies
+it once: ``kde_eval`` to its per-replicate totals, a KDE slice to its
+covariate weights, and ``loclin_eval``, whose solve it cancels from, only
+to the total weight it checks against ``_MIN_TOTAL_WEIGHT``, so
+:class:`NoLocalDataError` fires where the normalised weights say.
 
 The Epanechnikov kernel vanishes outside one bandwidth, so a row whose
 unjittered column lies farther than ``h`` from the point weighs exactly
@@ -57,12 +66,17 @@ axis. The weights stay bit-identical; only ``kde_eval`` and
 rounding alone. A Gaussian model, and a sum that does not evaluate the
 ordered column, walk every row.
 
-A Gaussian weight whose exponent ``-0.5 * sum u_j^2`` is below -700 is
-an exact 0.0 (see ``_exp``). Rows more than about 37 bandwidths from the
-point have such exponents, and for them numpy's ``exp`` leaves its
-vectorised loop for a much slower underflow path, so a few far rows
+A Gaussian weight is ``exp(x) - e^-700`` for its exponent
+``x = -0.5 * sum u_j^2`` clamped at -700 (see ``_exp``): the cutoff of a
+truncated and shifted potential. Rows more than about 37 bandwidths from
+the point have exponents below -700, and for them numpy's ``exp`` leaves
+its vectorised loop for a much slower underflow path, so a few far rows
 scattered through an array multiplied the time of a whole evaluation.
-A dropped weight is below ``e^-700 (2 pi)^(-k/2)``, about 1e-305, before
+The clamp keeps every lane in the vectorised loop, with no branch on the
+data, and the shift makes the weight exactly 0.0 at and below the floor
+and continuous there. A weight above about 1e-288 keeps every bit, since
+e^-700 is below half its ulp; any other moves by at most e^-700, so with
+the constant, by at most ``e^-700 (2 pi)^(-k/2)``, about 1e-305, before
 normalisation, which bounds the change to any result.
 
 A fit is deterministic given its inputs, so a saved model holds those
@@ -107,24 +121,20 @@ _KERNEL_NAMES = ("gaussian", "epanechnikov")
 _RIDGE_FACTOR = 1e-8
 _MIN_TOTAL_WEIGHT = 1e-12
 _CHUNK_ROWS = 32_768  # rows per evaluation chunk: ~256 KB per float column
-_EXP_FLOOR = -700.0  # Gaussian exp arguments below it give a weight of exactly 0
+_EXP_FLOOR = -700.0  # Gaussian exp arguments at or below it give a weight of exactly 0
+_EXP_AT_FLOOR = 9.85967654375977e-305  # e^-700, which numpy's exp gives at the floor
 
 MODEL_FORMAT = "jitterkit-model"
 MODEL_VERSION = 2
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
-    """``np.exp(x)`` in place, except that an argument below ``_EXP_FLOOR``
-    gives an exact 0.0, so no lane takes numpy's underflow slow path."""
-    near = None
-    if x.size and x.min() < _EXP_FLOOR:
-        near = x >= _EXP_FLOOR
-        np.maximum(x, _EXP_FLOOR, out=x)
+    """``np.exp(x) - e^-700`` in place, with ``x`` clamped at ``_EXP_FLOOR``
+    first: an argument at or below the floor gives an exact 0.0, and no
+    lane takes numpy's underflow slow path. Three passes and no branch."""
+    np.maximum(x, _EXP_FLOOR, out=x)
     np.exp(x, out=x)
-    if near is not None:
-        # far lanes are scattered through the rows: a multiply by the mask
-        # zeroes them without the branch a masked store takes per lane
-        np.multiply(x, near, out=x)
+    x -= _EXP_AT_FLOOR
     return x
 
 
@@ -165,6 +175,12 @@ class Kernel:
         u2 = np.clip(u, -1.0, 1.0) ** 2
         return 0.75 * (0.5 * u2 - 0.25 * u2 * u2) - 3.0 / 16.0
 
+    def constant(self, k: int) -> float:
+        """The normalising constant of the k-variate product kernel, which
+        :func:`product_weights` leaves out of its weights: (2 pi)^(-k/2)
+        (Gaussian) or 0.75^k (Epanechnikov)."""
+        return (2.0 * math.pi) ** (-0.5 * k) if self.name == "gaussian" else 0.75**k
+
 
 GAUSSIAN = Kernel("gaussian")
 EPANECHNIKOV = Kernel("epanechnikov")
@@ -174,15 +190,17 @@ def get_kernel(name: str) -> Kernel:
     return Kernel(name)
 
 
-def _kernel_factor(kernel: Kernel, column: np.ndarray, p: float, hj: float,
+def _kernel_factor(kernel: Kernel, column: np.ndarray, p: float, scaling,
                    offset: np.ndarray, out: np.ndarray) -> None:
     """One column's factor of the product kernel: writes the offsets
-    ``column - p`` into ``offset`` and, for ``u = offset / hj``, u^2
+    ``column - p`` into ``offset`` and, for ``u = op(offset, operand)``
+    with ``(op, operand) = scaling`` (see :func:`product_weights`), u^2
     (Gaussian) or ``max(1 - u^2, 0)`` (Epanechnikov) into ``out``."""
+    op, operand = scaling
     # a huge coordinate squares to u^2 = inf, whose weight is exactly 0
     with np.errstate(over="ignore"):
         np.subtract(column, p, out=offset)
-        np.divide(offset, hj, out=out)
+        op(offset, operand, out=out)
         np.square(out, out=out)
     if kernel.name != "gaussian":
         # 1 - u^2 clipped at 0 is exactly 0 outside the support |u| <= 1
@@ -218,8 +236,13 @@ def product_weights(model: _JitteredModel, columns, point, h):
     rows and, within it, each replicate ``r`` in turn: the chunk's
     ``rows``, the offsets ``dx[j] = column_j[rows] - point[j]`` of each of
     ``columns`` in replicate ``r`` as one (k, m) array, and the
-    product-kernel weights ``w = prod_j K(dx[j] / h[j])``, all 1 when
-    ``columns`` is empty.
+    product-kernel weights ``w = prod_j K(dx[j] / h[j])`` without the
+    kernel's constant (:meth:`Kernel.constant`), which the caller applies
+    once per sum: ``exp(-0.5 sum_j u_j^2)`` (Gaussian, through ``_exp``)
+    or ``prod_j max(1 - u_j^2, 0)`` (Epanechnikov), all 1 when
+    ``columns`` is empty. ``u_j`` is ``dx[j]`` times the reciprocal of
+    ``h[j]``, computed once per sum, or ``dx[j] / h[j]`` for a subnormal
+    ``h[j]``, whose reciprocal overflows.
 
     The chunks are consecutive slices of every row, except for a compact
     kernel whose model orders a column among ``columns``: then they are
@@ -229,9 +252,10 @@ def product_weights(model: _JitteredModel, columns, point, h):
     A column that :func:`~jitterkit.data.jitter` leaves untouched is held
     once, as an n-vector, so its offsets and factor are computed once per
     chunk; with no jittered column the weights, too, are computed once per
-    chunk. The factors combine in column order, ``+=`` of u^2 then one
-    ``exp`` (Gaussian) or ``*=`` (Epanechnikov), so each replicate's
-    weights are bit-identical to ones built from its own rows alone.
+    chunk. The factors combine in column order, ``+=`` of u^2 then
+    ``*= -0.5`` and one ``_exp`` (Gaussian) or ``*=`` (Epanechnikov), so
+    each replicate's weights are bit-identical to ones built from its own
+    rows alone.
     ``dx`` and ``w`` are buffers that the next yield overwrites: callers
     read them and write into neither.
     """
@@ -239,6 +263,11 @@ def product_weights(model: _JitteredModel, columns, point, h):
     k, n = len(columns), model.origin.n
     fresh = [data[c].ndim == 2 for c in columns]  # jittered: one row per replicate
     combine = np.add if kernel.name == "gaussian" else np.multiply
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_h = 1.0 / np.asarray(h, dtype=float)
+    # a subnormal bandwidth has no finite reciprocal: its offsets divide
+    scalings = [(np.multiply, float(inv)) if math.isfinite(inv) else (np.divide, float(hj))
+                for inv, hj in zip(inv_h, h)]
     chunks = _window_rows(model, columns, point, h)
     if chunks is None:
         chunks = (slice(start, min(start + _CHUNK_ROWS, n)) for start in range(0, n, _CHUNK_ROWS))
@@ -251,13 +280,13 @@ def product_weights(model: _JitteredModel, columns, point, h):
             dx, factors, w = np.empty((k, m)), np.empty((k, m)), np.empty(m)
         for j, c in enumerate(columns):
             if not fresh[j]:
-                _kernel_factor(kernel, data[c][rows], point[j], h[j], dx[j], factors[j])
+                _kernel_factor(kernel, data[c][rows], point[j], scalings[j], dx[j], factors[j])
         for r in range(model.num_jitters):
             if r == 0 or any(fresh):  # else replicate 0's weights hold for every replicate
                 # the first column's factor is the accumulator
                 for j, c in enumerate(columns):
                     if fresh[j]:
-                        _kernel_factor(kernel, data[c][r, rows], point[j], h[j], dx[j],
+                        _kernel_factor(kernel, data[c][r, rows], point[j], scalings[j], dx[j],
                                        w if j == 0 else factors[j])
                     elif j == 0:
                         np.copyto(w, factors[0])
@@ -268,9 +297,6 @@ def product_weights(model: _JitteredModel, columns, point, h):
                 elif kernel.name == "gaussian":
                     w *= -0.5
                     _exp(w)
-                    w *= (2.0 * math.pi) ** (-0.5 * k)
-                else:
-                    w *= 0.75**k
             yield r, rows, dx, w
 
 
@@ -387,6 +413,11 @@ class _JitteredModel:
     @property
     def schema(self) -> tuple[ColumnSchema, ...]:
         return self.origin.schema
+
+    @property
+    def effective_bandwidths(self) -> np.ndarray:
+        """Per smoothed column, the bandwidth on original units: b_j * scale_j."""
+        return self.bandwidths * self.transform.scales
 
     @property
     def smoothed_indices(self) -> tuple[int, ...]:
@@ -557,11 +588,6 @@ class KdeModel(_JitteredModel):
                 "rows overflow or underflow the density's normalization"
             )
 
-    @property
-    def effective_bandwidths(self) -> np.ndarray:
-        """Per-column bandwidths on original units: b_j * scale_j."""
-        return self.bandwidths * self.transform.scales
-
 
 def fit_kde(
     dataset: MixedDataset,
@@ -604,6 +630,7 @@ def kde_eval(model: KdeModel, point) -> float:
     totals = np.zeros(model.num_jitters)
     for r, _, _, w in product_weights(model, range(d), point, h):
         totals[r] += w.sum()
+    totals *= model.kernel.constant(d)
     return float(np.mean(totals / (model.origin.n * float(np.prod(h)))))
 
 
@@ -721,7 +748,7 @@ def loclin_eval(model: LocLinModel, covariate_point) -> float:
     cov_idx = model.covariate_indices
     k = len(cov_idx)
     x0 = _finite_point(covariate_point, k, "covariate point")
-    h = model.bandwidths * model.transform.scales
+    h = model.effective_bandwidths
     ys = [model.response_values(r) for r in range(model.num_jitters)]
     ms = [np.zeros((k + 1, k + 1)) for _ in ys]
     rhss = [np.zeros(k + 1) for _ in ys]
@@ -729,9 +756,11 @@ def loclin_eval(model: LocLinModel, covariate_point) -> float:
         chunk_m, chunk_rhs = _normal_equations(dx, w, ys[r][rows])
         ms[r] += chunk_m
         rhss[r] += chunk_rhs
+    # the kernel's constant cancels in the solve, but not in the threshold
+    constant = model.kernel.constant(k)
     estimates = np.empty(model.num_jitters)
     for r, (m, rhs) in enumerate(zip(ms, rhss)):
-        total = m[0, 0]
+        total = m[0, 0] * constant
         if not total > _MIN_TOTAL_WEIGHT:
             raise NoLocalDataError(
                 f"total kernel weight {total} at point {x0.tolist()} (replicate {r})"

@@ -176,6 +176,7 @@ def _covariate_weights(
     for r, rows, _, chunk in product_weights(model, cov_idx, cov_vals, cov_h):
         if r < len(w):
             w[r, rows] = chunk
+    w *= model.kernel.constant(len(cov_idx))
     return (w if stacked else w[0]), float(np.prod(cov_h))
 
 

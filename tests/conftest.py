@@ -1,3 +1,5 @@
+import math
+import sys
 import weakref
 
 import numpy as np
@@ -54,56 +56,119 @@ def jitter_replicates(model) -> list:
     return _REPLICATES[model]
 
 
-# The summation-order bound. A kernel sum that adds the same terms in
-# another order or grouping (a compact kernel's window walks its rows in
-# the order of one column, the full walk in row order) moves by rounding
+# The summation bound. Two computations of one kernel sum that add the
+# same terms in another order or grouping (a compact kernel's window walks
+# its rows in the order of one column, the full walk in row order), or
+# that round the kernel's argument another way (an offset times 1/h, or
+# over h) and apply its constant per sum or per weight, move by rounding
 # alone:
 # - a density, a sum of nonnegative terms, by at most SUMMATION_RTOL of
-#   its magnitude;
+#   its magnitude, plus ``density_atol``: the shifted floor moves each
+#   Gaussian weight below about 1e-288 by at most e^-700, which is
+#   e^-700 (2 pi)^(-k/2) / prod h in the value, and near the edge of the
+#   Epanechnikov support 1 - u^2 cancels, so each factor there keeps an
+#   absolute, not a relative, error of a few ulps of 1;
 # - a local linear value, the solve of such sums, by at most SUMMATION_RTOL
 #   times the condition number of its local design, of the larger of its
 #   magnitude and the response's. A design singular to working precision
-#   keeps no digits, in either order.
-# An exact 0.0 and a raised error stay exactly that.
+#   keeps no digits, either way.
+# A raised error stays exactly that, and so does an exact 0.0 where no
+# absolute term applies.
 SUMMATION_RTOL = 1e-12
+E_700 = math.exp(-700.0)  # the shift of the Gaussian floor
 
 
-def assert_summation_close(got, want, conditions=None, scale=0.0):
+def density_atol(kernel, h) -> float:
+    """The absolute term of the summation bound for a density over the
+    bandwidths ``h``: per weight, the floor's e^-700 (Gaussian) or 4 ulps
+    of 1 per factor (Epanechnikov), times the kernel's constant, over
+    prod h."""
+    k = len(h)
+    per_weight = E_700 if kernel.name == "gaussian" else 4.0 * k * sys.float_info.epsilon
+    return per_weight * reference_constant(kernel, k) / float(np.prod(h))
+
+
+def assert_summation_close(got, want, conditions=None, scale=0.0, atol=0.0):
     """``got`` and ``want``, two lists of values or error names (see
-    ``_outcome`` in the tests), agree within the summation-order bound,
-    ``conditions`` holding each local linear value's condition number and
-    ``scale`` the magnitude of its response."""
+    ``_outcome`` in the tests), agree within the summation bound,
+    ``conditions`` holding each local linear value's condition number,
+    ``scale`` the magnitude of its response and ``atol`` the absolute term
+    of a density (``density_atol``)."""
     assert len(got) == len(want)
     for a, b, cond in zip(got, want, conditions or [1.0] * len(got), strict=True):
-        if isinstance(a, str) or isinstance(b, str) or 0.0 in (a, b):
+        if isinstance(a, str) or isinstance(b, str) or (0.0 in (a, b) and not atol):
             assert a == b
         else:
-            bound = SUMMATION_RTOL * cond * max(abs(a), abs(b), scale)
+            bound = SUMMATION_RTOL * cond * max(abs(a), abs(b), scale) + atol
             assert abs(a - b) <= bound, (a, b, cond)
+
+
+def loclin_conditions(model, points) -> list:
+    """Per point, the largest condition number of ``model``'s local designs
+    over its replicates, from ``reference_normal_equations``."""
+    return [max(np.linalg.cond(m) for m, _ in reference_normal_equations(model, p))
+            for p in points]
 
 
 def assert_sums_match_full_walk(model, points, got, want):
     """``got``, the ``kde_eval`` or ``loclin_eval`` outcomes of ``model`` at
     ``points``, match ``want``, the full walk's: exactly, unless a compact
     kernel's window walks the rows in another order, and then within the
-    summation-order bound."""
+    summation bound."""
     if model.order is None:
         assert got == want
     elif hasattr(model, "response_index"):
-        conditions = [max(np.linalg.cond(m) for m, _ in reference_normal_equations(model, p))
-                      for p in points]
         y = model.origin.rows[:, model.response_index]
-        assert_summation_close(got, want, conditions, float(np.abs(y).max()))
+        assert_summation_close(got, want, loclin_conditions(model, points),
+                               float(np.abs(y).max()))
     else:
         assert_summation_close(got, want)
 
 
+def reference_constant(kernel, k) -> float:
+    """The k-variate product kernel's normalising constant."""
+    return (2.0 * np.pi) ** (-0.5 * k) if kernel.name == "gaussian" else 0.75**k
+
+
 def reference_product_weights(kernel, rows, columns, point, h) -> np.ndarray:
-    """Product-kernel weights of ``rows`` alone, the per-replicate way:
-    one column at a time in column order, the first column's factor as the
-    accumulator, ``+=`` of u^2 then one floored ``exp`` (Gaussian) or
-    ``*=`` of ``max(1 - u^2, 0)`` (Epanechnikov). Weights whose exponent is
+    """Product-kernel weights of ``rows`` alone, without the kernel's
+    constant, the per-replicate way: one column at a time in column order,
+    ``u = (x - p) * (1 / h)``, or ``(x - p) / h`` where ``1 / h``
+    overflows, the first column's factor as the accumulator, ``+=`` of u^2
+    then ``exp(max(-0.5 acc, -700)) - e^-700`` (Gaussian) or ``*=`` of
+    ``max(1 - u^2, 0)`` (Epanechnikov). Weights whose exponent is at or
     below -700 are exactly 0."""
+    if not len(columns):
+        return np.ones(len(rows))
+    acc = None
+    with np.errstate(over="ignore"):
+        for c, p, hj in zip(columns, point, h):
+            u = np.subtract(rows[:, c], p)
+            inv = np.divide(1.0, hj)
+            if np.isfinite(inv):
+                u *= inv
+            else:
+                u /= hj
+            np.square(u, out=u)
+            if kernel.name != "gaussian":
+                u = np.maximum(1.0 - u, 0.0)
+            if acc is None:
+                acc = u
+            elif kernel.name == "gaussian":
+                acc += u
+            else:
+                acc *= u
+    if kernel.name == "gaussian":
+        acc *= -0.5
+        return np.exp(np.maximum(acc, -700.0)) - E_700
+    return acc
+
+
+def earlier_product_weights(kernel, rows, columns, point, h) -> np.ndarray:
+    """Product-kernel weights as they were built before the reciprocal
+    bandwidths and the shifted floor: ``u = (x - p) / h``, an exact 0 for
+    an exponent below -700 and a plain ``exp`` above it, and the kernel's
+    constant in every weight."""
     if not len(columns):
         return np.ones(len(rows))
     acc = None
@@ -128,10 +193,17 @@ def reference_product_weights(kernel, rows, columns, point, h) -> np.ndarray:
     return acc * 0.75**k
 
 
+def _constant_left(weights, kernel, k) -> float:
+    """The constant a sum applies to ``weights``: none to the earlier
+    weights, which carry it."""
+    return 1.0 if weights is earlier_product_weights else reference_constant(kernel, k)
+
+
 def reference_kde_eval(model, point, weights=reference_product_weights,
                        chunk_rows=32_768) -> float:
     """``kde_eval`` replicate by replicate, each in chunks of
-    ``chunk_rows`` rows, from ``weights(kernel, rows, columns, point, h)``."""
+    ``chunk_rows`` rows, from ``weights(kernel, rows, columns, point, h)``,
+    the kernel's constant applied to each replicate's total."""
     h = model.effective_bandwidths
     point = np.asarray(point, dtype=float)
     vals = []
@@ -140,6 +212,7 @@ def reference_kde_eval(model, point, weights=reference_product_weights,
         for start in range(0, rep.n, chunk_rows):
             chunk = rep.rows[start:start + chunk_rows]
             total += float(weights(model.kernel, chunk, range(len(h)), point, h).sum())
+        total *= _constant_left(weights, model.kernel, len(h))
         vals.append(total / (rep.n * float(np.prod(h))))
     return float(np.mean(vals))
 
@@ -152,7 +225,7 @@ def reference_normal_equations(model, x0, weights=reference_product_weights,
     origin's column unless the model jitters it."""
     cov = model.covariate_indices
     x0 = np.asarray(x0, dtype=float)
-    h = model.bandwidths * model.transform.scales
+    h = model.effective_bandwidths
     equations = []
     for rep in jitter_replicates(model):
         y = (rep if model.jitter_response else model.origin).rows[:, model.response_index]
@@ -179,26 +252,29 @@ def reference_normal_equations(model, x0, weights=reference_product_weights,
 def reference_loclin_eval(model, x0, weights=reference_product_weights,
                           chunk_rows=32_768) -> float:
     """``loclin_eval`` replicate by replicate: each replicate's solve of
-    :func:`reference_normal_equations`."""
+    :func:`reference_normal_equations`, whose total weight, times the
+    kernel's constant, must exceed 1e-12."""
     from jitterkit import NoLocalDataError, estimators
 
+    constant = _constant_left(weights, model.kernel, len(model.covariate_indices))
     estimates = []
     for r, (m, rhs) in enumerate(reference_normal_equations(model, x0, weights, chunk_rows)):
-        if not m[0, 0] > 1e-12:
+        if not m[0, 0] * constant > 1e-12:
             raise NoLocalDataError(f"total kernel weight {m[0, 0]} (replicate {r})")
         estimates.append(estimators._weighted_local_fit(m, rhs))
     return float(np.mean(estimates))
 
 
-def reference_covariate_weights(model, covariate_point):
+def reference_covariate_weights(model, covariate_point, weights=reference_product_weights):
     """A KDE slice's covariate weights, stacked over all R * n replicate
-    rows, replicate by replicate from ``reference_product_weights``, and
-    the product of the covariates' bandwidths."""
+    rows, replicate by replicate from ``weights`` and then times the
+    kernel's constant, and the product of the covariates' bandwidths."""
     cov = sorted(covariate_point)
     h = model.effective_bandwidths[cov]
     point = [float(covariate_point[j]) for j in cov]
-    w = np.concatenate([reference_product_weights(model.kernel, rep.rows, cov, point, h)
+    w = np.concatenate([weights(model.kernel, rep.rows, cov, point, h)
                         for rep in jitter_replicates(model)])
+    w *= _constant_left(weights, model.kernel, len(cov))
     return w, float(np.prod(h))
 
 

@@ -50,9 +50,15 @@ from jitterkit import (
 
 from jitterkit import JitterkitError, estimators
 from conftest import (
+    E_700,
+    SUMMATION_RTOL,
+    assert_summation_close,
     assert_sums_match_full_walk,
+    density_atol,
     discrete_dataset,
+    earlier_product_weights,
     jitter_replicates,
+    loclin_conditions,
     reference_covariate_weights,
     reference_kde_eval,
     reference_kde_response_slice,
@@ -776,24 +782,22 @@ class TestSharedDraws:
 
 
 def _accumulator_weights(kernel, rows, columns, point, h):
-    """Product-kernel weights as they were built before the e^-700 floor:
-    accumulated into zeros (Gaussian) or ones (Epanechnikov), then one
-    plain ``np.exp`` that lets far lanes underflow."""
+    """Product-kernel weights without the kernel's constant and with no
+    floor: u = (x - p) / h accumulated into zeros (Gaussian) or ones
+    (Epanechnikov), then one plain ``np.exp`` that lets far lanes
+    underflow."""
     acc = np.zeros(len(rows)) if kernel.name == "gaussian" else np.ones(len(rows))
     for c, p, hj in zip(columns, point, h):
         u = np.square((rows[:, c] - p) / hj)
         acc = acc + u if kernel.name == "gaussian" else acc * np.maximum(1.0 - u, 0.0)
-    k = len(columns)
-    if kernel.name == "gaussian":
-        return np.exp(-0.5 * acc) * (2.0 * math.pi) ** (-0.5 * k)
-    return acc * 0.75**k
+    return np.exp(-0.5 * acc) if kernel.name == "gaussian" else acc
 
 
 def _half_squared_norms(rows, columns, point, h):
     """0.5 * sum_j u_j^2 in the order product_weights accumulates it."""
     acc = np.zeros(len(rows))
     for c, p, hj in zip(columns, point, h):
-        acc = acc + np.square((rows[:, c] - p) / hj)
+        acc = acc + np.square((rows[:, c] - p) * (1.0 / hj))
     return 0.5 * acc
 
 
@@ -831,9 +835,11 @@ def _weights_of_rows(model, columns, point, h):
 
 
 class TestExpFloor:
-    """Gaussian weights below e^-700 are exact zeros, so no lane takes
-    numpy's exp-underflow slow path; every other weight is what the
-    zeros/ones accumulator and a plain exp gave."""
+    """Gaussian weights whose exponent is at or below -700 are exact zeros,
+    so no lane takes numpy's exp-underflow slow path, and every other one
+    is shifted down by e^-700, so the floor is continuous. Every weight is
+    the reference's (``conftest``), and within e^-700, or a few ulps, of
+    the weight with no floor at all."""
 
     @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -850,18 +856,21 @@ class TestExpFloor:
         narrow[:, 1] = rng.uniform(0.0, 3.0, grid.size)
         rows = np.concatenate([sweep, wide, narrow])
         columns, point, h = [0, 1, 2][:k], [0.3, -0.2, 0.1][:k], [1.0, 0.9, 1.1][:k]
+        want = reference_product_weights(kernel, rows, columns, point, h)
         old = _accumulator_weights(kernel, rows, columns, point, h)
         for model in _replicated_models(kernel_name, rows):
             for got in _weights_of_rows(model, columns, point, h):
+                assert_array_equal(got, want)
                 if kernel_name == "gaussian":
-                    kept = _half_squared_norms(rows, columns, point, h) <= 700.0
+                    kept = _half_squared_norms(rows, columns, point, h) < 700.0
                     assert kept.any() and (k == 0 or not kept.all())
-                    assert_array_equal(got[kept], old[kept])
                     assert np.all(got[~kept] == 0.0)
                     # the old weights there were subnormal
                     assert np.any(old[~kept] > 0.0) or k == 0
+                    assert_allclose(got, old, rtol=SUMMATION_RTOL, atol=E_700)
                 else:
-                    assert_array_equal(got, old)
+                    assert_allclose(got, old, rtol=SUMMATION_RTOL,
+                                    atol=4.0 * k * sys.float_info.epsilon)
                 if k == 0:
                     assert_array_equal(got, np.ones(len(rows)))
 
@@ -875,8 +884,8 @@ class TestExpFloor:
             assert list(estimators.product_weights(model, columns, point, h)) == []
         for u in (0.0, 0.5, 37.0, 38.0, 60.0):
             row = np.full((1, 3), u)
-            want = (_accumulator_weights(kernel, row, columns, point, h)
-                    if kernel_name == "epanechnikov" or 0.5 * k * u * u <= 700.0
+            want = (reference_product_weights(kernel, row, columns, point, h)
+                    if kernel_name == "epanechnikov" or 0.5 * k * u * u < 700.0
                     else [0.0])
             for model in _replicated_models(kernel_name, row):
                 for got in _weights_of_rows(model, columns, point, h):
@@ -886,16 +895,30 @@ class TestExpFloor:
         kernel = get_kernel("gaussian")
         assert kernel.profile(np.empty(0)).shape == (0,)
         u = np.array([0.0, 1.0, 37.4, 37.5, 38.0, 60.0, np.inf])
-        want = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        want[0.5 * u * u > 700.0] = 0.0
+        want = (np.exp(-0.5 * u * u) - E_700) / math.sqrt(2.0 * math.pi)
+        want[0.5 * u * u >= 700.0] = 0.0
         assert_array_equal(kernel.profile(u), want)
+        assert want[2] > 0.0
         assert kernel.profile(-38.0) == 0.0
         assert kernel.profile(1.0) == want[1]
         assert np.isnan(kernel.profile(np.array([np.nan, 40.0]))[0])
 
+    def test_floor_is_continuous(self):
+        # the shift is a float literal: numpy's exp at the floor must give
+        # exactly it, in every SIMD lane, for the weight there to be 0.0
+        assert estimators._EXP_AT_FLOOR == math.exp(estimators._EXP_FLOOR) == E_700
+        below, above = np.nextafter(-700.0, -np.inf), np.nextafter(-700.0, 0.0)
+        x = np.tile([below, -700.0, above, -699.0, -1e300, -np.inf, -0.5, 0.0], 9)
+        got = estimators._exp(x.copy())
+        assert np.all(got[x <= -700.0] == 0.0)
+        assert_array_equal(got[x > -700.0], np.exp(x[x > -700.0]) - E_700)
+        # one ulp above the floor the weight is about 1e-13 of e^-700
+        assert 0.0 < got[2] < 1e-12 * E_700
+
     @pytest.mark.parametrize("estimator", ["gaussian", "epanechnikov", "loclin"])
     def test_eval_battery_matches_accumulator(self, estimator):
-        # 160 points on and far beyond the data; values far out are exact zeros
+        # 160 points on and far beyond the data; values far out are exact
+        # zeros; the values with no floor at all move by the summation bound
         ds = _mixed_dataset(1, 3000, seed=40)
         ds = MixedDataset(ds.schema[:2], ds.rows[:, :2])
         if estimator == "loclin":
@@ -913,13 +936,74 @@ class TestExpFloor:
                        [-1e10, 1.0]]
             evaluate, reference = kde_eval, reference_kde_eval
         got = [_outcome(evaluate, model, p) for p in points]
-        want = [_outcome(reference, model, p, _accumulator_weights) for p in points]
         assert len(points) >= 150
-        assert_sums_match_full_walk(model, points, got, want)
+        assert_sums_match_full_walk(model, points, got,
+                                    [_outcome(reference, model, p) for p in points])
+        old = [_outcome(reference, model, p, _accumulator_weights) for p in points]
         if estimator != "loclin":
+            assert_summation_close(got, old,
+                                   atol=density_atol(model.kernel, model.effective_bandwidths))
             assert 0.0 in got  # points beyond the data stay exact zeros
         else:
+            y = ds.rows[:, 1]
+            assert_summation_close(got, old, loclin_conditions(model, points),
+                                   float(np.abs(y).max()))
             assert "NoLocalDataError" in got  # and beyond them no local data
+
+
+def _spying_numpy(log):
+    """A stand-in for ``numpy`` in ``estimators`` whose ``np.empty`` gives
+    arrays that append ``(ufunc, method)`` to ``log`` for every ufunc call
+    that reads or writes them: every pass over a weight buffer."""
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            log.append((ufunc.__name__, method))
+            plain = [x.view(np.ndarray) if isinstance(x, Spy) else x for x in inputs]
+            if out is not None:
+                kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, Spy) else x
+                                      for x in out)
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            return out[0] if out is not None else result
+
+    class SpyingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape):
+            return np.empty(shape).view(Spy)
+
+    return SpyingNumpy()
+
+
+class TestKernelWork:
+    """The passes a Gaussian sum makes over each replicate chunk, pinned
+    without a timer: no divide, no per-row constant and no branch on the
+    data in ``_exp``."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_gaussian_kde_passes(self, monkeypatch, chunk_rows):
+        # point-eval's layout: a jittered z and an unjittered x, R = 3; n =
+        # 50 rows are one chunk, or 8 chunks of at most 7
+        if chunk_rows is not None:
+            monkeypatch.setattr(estimators, "_CHUNK_ROWS", chunk_rows)
+        ds = _mixed_dataset(1, 50, seed=70)
+        model = fit_kde(MixedDataset(ds.schema[:2], ds.rows[:, :2]), SPEC, num_jitters=3,
+                        seed=71)
+        log = []
+        monkeypatch.setattr(estimators, "np", _spying_numpy(log))
+        factor = [("subtract", "__call__"), ("multiply", "__call__"), ("square", "__call__")]
+        replicate = factor + [("add", "__call__"), ("multiply", "__call__"),
+                              ("maximum", "__call__"), ("exp", "__call__"),
+                              ("subtract", "__call__"), ("add", "reduce")]
+        chunks = 1 if chunk_rows is None else 8
+        # near the data, and far out, where every exponent is below the floor
+        for point, value in (([1.0, 0.5], None), ([1.0, 60.0], 0.0)):
+            log.clear()
+            got = kde_eval(model, point)
+            assert got == value if value is not None else got > 0.0
+            assert log == (factor + 3 * replicate) * chunks
 
 
 def _interleaved_dataset(kinds, n, seed):
@@ -1005,13 +1089,12 @@ class TestReplicateWeights:
         for cov in ([], [0], [1], [0, 1], [1, 2], [0, 2], list(range(len(kinds)))):
             point = {j: float(model.origin.rows[5, j]) + 0.2 for j in cov}
             got, norm = regression._covariate_weights(model, point)
-            want = np.stack([reference_product_weights(
-                model.kernel, rep.rows, cov, [point[j] for j in cov], h[cov])
-                for rep in jitter_replicates(model)])
+            want, want_norm = reference_covariate_weights(model, point)
+            want = want.reshape(model.num_jitters, model.origin.n)
             jittered = any(kinds[j] == "d" for j in cov)
             assert got.shape == (want.shape if jittered else want.shape[1:])
             assert_array_equal(np.broadcast_to(got, want.shape), want)
-            assert norm == float(np.prod(h[cov]))
+            assert norm == want_norm == float(np.prod(h[cov]))
 
     @pytest.mark.parametrize("estimator", ["gaussian", "epanechnikov", "loclin"])
     def test_untouched_factors_once_per_chunk(self, monkeypatch, estimator):
@@ -1187,6 +1270,144 @@ class TestReplicateWeights:
         rows[4, 1] += 1e-12  # the continuous one may not
         with pytest.raises(SchemaError, match="continuous column 'c1'"):
             JitteredDataset(origin=ds, noise=SPEC, seed=0, replicate_index=0, rows=rows)
+
+
+def _edge_points(origin, h):
+    """Points at exactly one bandwidth from a row in one column: the edge
+    of the compact support, where 1 - u^2 cancels."""
+    rows = origin[[2, 11, 27]]
+    return np.concatenate([rows + h * np.eye(origin.shape[1])[j % origin.shape[1]]
+                           for j in range(origin.shape[1])])
+
+
+class TestEarlierArithmetic:
+    """Every ``kde_eval`` and ``loclin_eval`` agrees within the summation
+    bound (``conftest``) with the same sum in the earlier arithmetic,
+    ``earlier_product_weights``: offsets over h, the unshifted floor and
+    the kernel's constant in every weight. An exact 0.0 far from the data
+    and every raised error stay where they were."""
+
+    @pytest.mark.parametrize("num_jitters", [1, 3])
+    @pytest.mark.parametrize("n", [2000, 33_000], ids=["one_chunk", "two_chunks"])
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_kde_and_loclin_battery(self, kernel_name, n, num_jitters):
+        kw = dict(n=n, seed=num_jitters)
+        kde = _interleaved_fit(fit_kde, "dcc", kernel_name, num_jitters, **kw)
+        h = kde.effective_bandwidths
+        points = np.concatenate([_edge_points(kde.origin.rows, h),
+                                 _probe_points(kde.origin.rows, h)])
+        got = [kde_eval(kde, p) for p in points]
+        want = [reference_kde_eval(kde, p, earlier_product_weights) for p in points]
+        assert_summation_close(got, want, atol=density_atol(kde.kernel, h))
+        assert got[-2:] == want[-2:] == [0.0, 0.0]  # far beyond the data
+        assert max(got) > 0.0
+        for response, jitter_response in ((2, False), (0, False), (0, True)):
+            loclin = _interleaved_fit(fit_loclin, "dcc", kernel_name, num_jitters,
+                                      response_index=response,
+                                      jitter_response=jitter_response, **kw)
+            cov = list(loclin.covariate_indices)
+            origin = loclin.origin.rows[:, cov]
+            points = np.concatenate([_edge_points(origin, loclin.effective_bandwidths),
+                                     _probe_points(origin, loclin.effective_bandwidths)])
+            got = [_outcome(loclin_eval, loclin, p) for p in points]
+            want = [_outcome(reference_loclin_eval, loclin, p, earlier_product_weights)
+                    for p in points]
+            y = loclin.origin.rows[:, response]
+            assert_summation_close(got, want, loclin_conditions(loclin, points),
+                                   float(np.abs(y).max()))
+            assert got[-2:] == ["NoLocalDataError"] * 2
+            assert any(isinstance(v, float) for v in got)
+
+    def test_exponents_around_the_floor(self):
+        # three columns, bandwidth 1 and the point at 0: offsets (30, 20,
+        # 10) give 0.5 sum u^2 = 700 exactly, and a third offset 1e-11
+        # nearer or farther puts the exponent 1e-10 inside or beyond it
+        third = [10.0 - 1e-11, 10.0, 10.0 + 1e-11, 9.0, 11.0]
+        rows = np.array([[30.0, 20.0, t] for t in third])
+        kernel = get_kernel("gaussian")
+        columns, point, h = [0, 1, 2], np.zeros(3), np.ones(3)
+        for model in _replicated_models("gaussian", rows):
+            got = _weights_of_rows(model, columns, point, h)[0]
+            assert got[0] > 0.0 and got[1:3].tolist() == [0.0, 0.0] and got[3] > 0.0
+            assert got[4] == 0.0
+            earlier = earlier_product_weights(kernel, rows, columns, point, h)
+            assert earlier[1] > 0.0 and earlier[2] == 0.0  # the earlier floor's jump
+            assert_allclose(got * kernel.constant(3), earlier, rtol=SUMMATION_RTOL,
+                            atol=E_700 * kernel.constant(3))
+        # the continuous model's replicates are its rows, as jitter draws them
+        continuous = _replicated_models("gaussian", rows)[0]
+        assert_summation_close([kde_eval(continuous, point)],
+                               [reference_kde_eval(continuous, point, earlier_product_weights)],
+                               atol=density_atol(kernel, h))
+
+    def test_support_edge(self):
+        # one ulp either side of |u| = 1, 1 - u^2 cancels: a weight of about
+        # 2^-52 moves by a part of itself, which only the absolute term of
+        # the bound covers (at h = 1.1, by a quarter of the value)
+        kernel, moved = get_kernel("epanechnikov"), []
+        for h in (0.3, 1.0 / 3.0, 0.45, 0.7, 1.1, 2.9):
+            rows = np.array([[0.0], [5.0], [5.0 + h / 2]])
+            origin = MixedDataset((ColumnSchema("x", "continuous"),), rows)
+            rep = JitteredDataset(origin=origin, noise=NO_DISCRETE, seed=0, replicate_index=0,
+                                  rows=rows)
+            model = KdeModel.from_replicates((rep,), kernel=kernel, noise=NO_DISCRETE, seed=0,
+                                             bandwidths=np.array([h]),
+                                             transform=Standardization(np.zeros(1), np.ones(1)))
+            points = [[q] for edge in (5.0 - h, 5.0 + 1.5 * h)
+                      for q in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))]
+            got = [kde_eval(model, p) for p in points]
+            want = [reference_kde_eval(model, p, earlier_product_weights) for p in points]
+            assert_summation_close(got, want, atol=density_atol(kernel, [h]))
+            moved += [abs(a - b) > SUMMATION_RTOL * max(a, b) for a, b in zip(got, want)]
+        assert any(moved)
+
+    @pytest.mark.parametrize("bandwidth", [1e-300, 1e306])
+    def test_extreme_bandwidths(self, bandwidth):
+        # the existing tests of these stay in TestModelCore; here the values
+        # at the data and off it agree with the earlier arithmetic
+        kde, loclin = _hand_models(np.array([bandwidth, 1.0, 1.0]), [bandwidth])
+        rows = kde.origin.rows
+        points = np.concatenate([rows[:4], rows[:4] + 0.5, [np.zeros(3)]])
+        got = [kde_eval(kde, p) for p in points]
+        assert max(got) > 0.0
+        assert_summation_close(got, [reference_kde_eval(kde, p, earlier_product_weights)
+                                     for p in points],
+                               atol=density_atol(kde.kernel, kde.effective_bandwidths))
+        self._assert_loclin_matches_earlier(loclin, rows[:4, 1:2])
+
+    def test_subnormal_loclin_bandwidth(self):
+        # 1 / 1e-310 overflows, so the offsets divide by the bandwidth
+        _, loclin = _hand_models([0.5, 0.5, 0.5], [1e-310])
+        x = loclin.origin.rows[:, 1:2]
+        self._assert_loclin_matches_earlier(loclin, np.concatenate([x[:4], x[:2] + 1e-3]))
+
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_subnormal_bandwidth_weights(self, kernel_name):
+        # offsets of 0 to 10 bandwidths of a subnormal h, whose reciprocal
+        # overflows, keep the weights the earlier arithmetic gave them
+        rows = np.array([[0.0], [1e-310], [3e-310], [1e-309], [4e-308], [1.0]])
+        kernel = get_kernel(kernel_name)
+        atol = E_700 if kernel_name == "gaussian" else 4.0 * sys.float_info.epsilon
+        for h in (np.array([1e-310]), np.array([5e-324])):
+            want = reference_product_weights(kernel, rows, [0], [0.0], h)
+            earlier = earlier_product_weights(kernel, rows, [0], [0.0], h)
+            assert_allclose(want * kernel.constant(1), earlier, rtol=SUMMATION_RTOL, atol=atol)
+            for model in _replicated_models(kernel_name, rows):
+                for got in _weights_of_rows(model, [0], [0.0], h):
+                    assert_array_equal(got, want)
+        assert np.count_nonzero(earlier) == 1  # at h = 5e-324 only the row at the point
+        assert np.count_nonzero(reference_product_weights(kernel, rows, [0], [0.0], [1e-310])) == (
+            4 if kernel_name == "gaussian" else 1)
+
+    @staticmethod
+    def _assert_loclin_matches_earlier(loclin, points):
+        got = [_outcome(loclin_eval, loclin, p) for p in points]
+        want = [_outcome(reference_loclin_eval, loclin, p, earlier_product_weights)
+                for p in points]
+        y = loclin.origin.rows[:, loclin.response_index]
+        assert_summation_close(got, want, loclin_conditions(loclin, points),
+                               float(np.abs(y).max()))
+        assert isinstance(got[0], float)
 
 
 def _dyadic_window_model(num_jitters):

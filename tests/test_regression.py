@@ -43,15 +43,17 @@ from jitterkit import (
 
 from jitterkit import estimators
 from conftest import (
+    assert_summation_close,
     assert_sums_match_full_walk,
+    density_atol,
     discrete_dataset,
+    earlier_product_weights,
     jitter_replicates,
     mixed_dataset,
     reference_covariate_weights,
     reference_kde_eval,
     reference_kde_response_slice,
     reference_loclin_eval,
-    reference_product_weights,
 )
 
 PMFS = {
@@ -548,13 +550,9 @@ def _recomputing_quantile(model, point, alpha):
     ``cond_quantile``, recomputing every kernel CDF term at every step."""
     sl = response_slice(model, 1, point)
     h = model.effective_bandwidths
-    cov_idx = sorted(point)
-    cov_vals = [point[j] for j in cov_idx]
-    reps = jitter_replicates(model)
-    resp = np.concatenate([rep.rows[:, 1] for rep in reps])
-    w = np.concatenate([reference_product_weights(model.kernel, rep.rows, cov_idx, cov_vals,
-                                                  h[cov_idx]) for rep in reps])
-    norm = len(resp) * h[1] * float(np.prod(h[cov_idx]))
+    resp = np.concatenate([rep.rows[:, 1] for rep in jitter_replicates(model)])
+    w, cov_norm = reference_covariate_weights(model, point)
+    norm = len(resp) * h[1] * cov_norm
 
     def cum(t):
         inc = model.kernel.cdf((t - resp) / h[1]) - model.kernel.cdf((sl.lower - resp) / h[1])
@@ -933,6 +931,105 @@ class TestModelColumns:
         monkeypatch.setattr(regression, "_covariate_weights", reference_covariate_weights)
         assert got == _chunk_battery(model)
         assert all(isinstance(v, (float, list)) for v in got)
+
+
+def _earlier_profile(profile):
+    """``Kernel.profile`` as it was before the shifted floor: a Gaussian
+    exponent below -700 gives an exact 0.0, and every other one a plain
+    ``exp``."""
+
+    def earlier(kernel, u):
+        if kernel.name != "gaussian":
+            return profile(kernel, u)
+        u = np.asarray(u, dtype=float)
+        x = np.asarray(-0.5 * u * u)
+        return np.where(x < -700.0, 0.0, np.exp(np.maximum(x, -700.0))) / math.sqrt(2.0 * math.pi)
+
+    return earlier
+
+
+def _functional_battery(model):
+    """Every functional of ``model`` over the responses and covariate
+    points of the slice battery, and two covariate points far beyond the
+    data, as ``(kind, bandwidth columns, outcome)``: a value, a discrete
+    quantile, a continuous one at alpha in (0, 1) or at 0 or 1, or class
+    probabilities."""
+    Q = FunctionalQuery
+    out = []
+    for resp, kind, thresholds in _SLICE_RESPONSES:
+        for point in _SLICE_POINTS + [{2: 9.0}, {1: 40.0}]:
+            if resp in point:
+                continue
+            columns = [resp, *point]
+            out.append(("value", columns, _outcome(cond_mean, model, Q("mean", resp, kind, point))))
+            for t in thresholds:
+                out.append(("value", columns, _outcome(cond_cdf, model,
+                                                       Q("cdf", resp, kind, point, threshold=t))))
+            for alpha in (0.0, 0.05, 0.5, 0.95, 1.0):
+                tag = ("discrete_quantile" if kind == "discrete"
+                       else "quantile" if 0.0 < alpha < 1.0 else "quantile_end")
+                out.append((tag, columns, _outcome(cond_quantile, model,
+                                                   Q("quantile", resp, kind, point, alpha=alpha))))
+    for point in ({}, {2: 0.3}, {0: 1.0}, {0: 2.0, 2: 0.3}, {1: 40.0}):
+        q = FunctionalQuery("class_probs", 3, "discrete", point, class_columns=(3, 4))
+        out.append(("classify", [3, *point], _outcome(classify, model, q)))
+    return out
+
+
+class TestEarlierArithmetic:
+    """Every KDE functional agrees with the same functional in the earlier
+    arithmetic (``earlier_product_weights`` in ``conftest`` and the
+    unshifted profile floor): values within the summation bound,
+    continuous quantiles within 1e-8, and discrete quantiles, the class
+    argmax and every raised error exactly. At alpha 0 and 1 a continuous
+    quantile is where the CDF first rounds to 0.0 or 1.0, which any ulp
+    moves, so it is checked against the stacked reference only."""
+
+    # n = 2000 rows in one chunk, or in four of at most 512
+    @pytest.mark.parametrize("num_jitters", [1, 3])
+    @pytest.mark.parametrize("chunk_rows", [None, 512], ids=["one_chunk", "four_chunks"])
+    @pytest.mark.parametrize("kernel_name", ["gaussian", "epanechnikov"])
+    def test_functional_battery(self, monkeypatch, kernel_name, chunk_rows, num_jitters):
+        from jitterkit import regression
+
+        if chunk_rows is not None:
+            monkeypatch.setattr(estimators, "_CHUNK_ROWS", chunk_rows)
+        model = fit_kde(_zxy_class_dataset(2000, seed=num_jitters), NoiseSpec(0.8, 5, dims=3),
+                        kernel=get_kernel(kernel_name), num_jitters=num_jitters, seed=90)
+        got = _functional_battery(model)
+        monkeypatch.setattr(regression, "_kde_response_slice", reference_kde_response_slice)
+        monkeypatch.setattr(regression, "_covariate_weights", reference_covariate_weights)
+        stacked = _functional_battery(model)
+
+        def earlier_slice(model, response_index, covariate_point, weights=None):
+            if weights is None:
+                weights = reference_covariate_weights(model, covariate_point,
+                                                      earlier_product_weights)
+            return reference_kde_response_slice(model, response_index, covariate_point, weights)
+
+        monkeypatch.setattr(regression, "_kde_response_slice", earlier_slice)
+        monkeypatch.setattr(regression, "_covariate_weights", lambda model, point:
+                            reference_covariate_weights(model, point, earlier_product_weights))
+        monkeypatch.setattr(Kernel, "profile", _earlier_profile(Kernel.profile))
+        earlier = _functional_battery(model)
+        h = model.effective_bandwidths
+        for (tag, columns, a), (_, _, s), (_, _, b) in zip(got, stacked, earlier, strict=True):
+            if tag == "quantile_end":
+                assert a == s
+            elif tag == "discrete_quantile" or isinstance(a, str) or isinstance(b, str):
+                assert a == b
+            elif tag == "quantile":
+                assert abs(a - b) <= 1e-8
+            else:
+                if tag == "classify":
+                    assert np.argmax(a) == np.argmax(b)
+                # a slice's covariate weights and its response profile each
+                # take the absolute term of a density over their columns
+                atol = 2.0 * density_atol(model.kernel, h[columns])
+                assert_summation_close(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist(),
+                                       atol=atol)
+        assert sum(tag == "quantile_end" for tag, _, _ in got) >= 10
+        assert "NoLocalDataError" in [a for _, _, a in got]
 
 
 _KDE_PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
